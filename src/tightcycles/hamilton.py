@@ -23,7 +23,13 @@ from .hypercore import (
     verify_tight_cycle,
     verify_tight_path,
 )
-from .motifs import _cleaned_masks, find_c8_blowup, find_k333, is_connectable
+from .motifs import (
+    _cleaned_masks,
+    blowup_path_ordering,
+    find_c8_blowup,
+    find_k333,
+    is_connectable,
+)
 
 __all__ = [
     "Absorber",
@@ -63,7 +69,7 @@ class PipelineParams:
     min_eligibility: int = 3
     connect_budget: int = 30000
     absorber_tries: int = 40
-    gadget_budget: int = 60000
+    gadget_budget: int = 60000  # nodes per blow-up seed; see find_c8_blowup
     use_gadget: Optional[bool] = None
     cover_attempts: int = 12
 
@@ -518,8 +524,6 @@ def build_absorbing_path(
         for i in range(3):
             pieces.append(("link", (j, i), tuple(A.link_path(i))))
     if gadget_classes is not None:
-        from .motifs import blowup_path_ordering
-
         pieces.append(("gadget", None, tuple(blowup_path_ordering(gadget_classes))))
 
     pieces_mask = 0
@@ -622,8 +626,6 @@ def absorb(
                 trace["fail_stage"] = "divisibility"
             return None
         drop_layers = (1,) if (len(u) + 8) % 3 == 0 else (1, 2)
-
-    from .motifs import blowup_path_ordering
 
     freed: list[int] = []
     if drop_layers:

@@ -87,14 +87,9 @@ class Hypergraph3:
             [t[:, 0] * n + t[:, 1], t[:, 0] * n + t[:, 2], t[:, 1] * n + t[:, 2]]
         )
         thirds = np.concatenate([t[:, 2], t[:, 1], t[:, 0]])
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        thirds = thirds[order]
-        uniq, starts = np.unique(keys, return_index=True)
-        ends = np.append(starts[1:], len(keys))
+        uniq, ridx = np.unique(keys, return_inverse=True)
         nbytes = (n + 7) // 8
         rows = np.zeros((len(uniq), nbytes), dtype=np.uint8)
-        ridx = np.searchsorted(uniq, keys)
         np.bitwise_or.at(
             rows.reshape(-1),
             ridx * nbytes + (thirds >> 3),
@@ -103,7 +98,6 @@ class Hypergraph3:
         out: dict[int, int] = {}
         for i, key in enumerate(uniq):
             out[int(key)] = int.from_bytes(rows[i].tobytes(), "little")
-        del starts, ends
         return out
 
     # -- basic queries -------------------------------------------------

@@ -616,7 +616,11 @@ def find_c8_blowup(
 
     Seeds come from tight 8-cycles and from the six-vertex double-apex gadget
     (two apex-sharing four-vertex motifs joined by a cherry); classes are then
-    grown greedily inside common neighbourhoods with backtracking."""
+    grown greedily inside common neighbourhoods with backtracking.
+
+    ``budget`` counts node expansions for each of the (at most two) seeds;
+    the 8-cycle search gets ``max(budget // 4, 1000)`` of its own, so the
+    worst case is ``max(budget // 4, 1000) + 2 * budget`` nodes."""
     avoid = list(avoid)
     avoid_mask = mask_of(avoid)
     if H.n - avoid_mask.bit_count() < 8 * t:
@@ -679,42 +683,70 @@ def _find_double_apex_gadget(H: Hypergraph3, seed: int, tries: int = 300, avoid_
     return None
 
 
-def _blowup_candidates(H: Hypergraph3, classes: list[list[int]], i: int, used: int) -> int:
-    cand = H.vertex_mask() & ~used
-    for da, db in ((-2, -1), (-1, 1), (1, 2)):
-        ca = classes[(i + da) % 8]
-        cb = classes[(i + db) % 8]
-        for u in ca:
-            for v in cb:
-                cand &= H.nbr_mask(u, v)
-                if not cand:
-                    return 0
-    return cand
-
-
 def _grow_blowup(H, classes, t, budget, rng, avoid_mask: int = 0):
+    """Grow the seed classes to size t by depth-first search.  Each node
+    extends the first smallest class by one of its candidates (a random eight
+    when there are more); ``budget`` counts node expansions.
+
+    A candidate for class i lies in N(u, v) for every u, v in the class pairs
+    (i-2, i-1), (i-1, i+1) and (i+1, i+2).  These pair products are kept as
+    running ANDs, ``near[k]`` over classes k x k+1 and ``skip[k]`` over
+    k-1 x k+1, so placing a vertex updates four masks with at most t lookups
+    each."""
     classes = [list(c) for c in classes]
-    budget_left = [budget]
+    n = H.n
+    pair_nbr = H._pair_nbr
+    full = H.vertex_mask()
+
+    def link(v: int, cls: list[int]) -> int:
+        """AND of N(v, w) over w in cls; every vertex when cls is empty."""
+        m = full
+        for w in cls:
+            m &= pair_nbr.get(v * n + w if v < w else w * n + v, 0)
+        return m
+
+    # negative class indices wrap round the cycle like the positive ones
+    near = [full] * 8
+    skip = [full] * 8
+    for k in range(8):
+        for u in classes[k]:
+            near[k] &= link(u, classes[(k + 1) % 8])
+        for u in classes[k - 1]:
+            skip[k] &= link(u, classes[(k + 1) % 8])
+    sizes = [len(c) for c in classes]
+    used = mask_of(v for c in classes for v in c) | avoid_mask
+    budget_left = budget
 
     def rec() -> bool:
-        if budget_left[0] <= 0:
+        nonlocal budget_left, used
+        if budget_left <= 0:
             return False
-        budget_left[0] -= 1
-        sizes = [len(c) for c in classes]
-        if min(sizes) == t:
+        budget_left -= 1
+        smallest = min(sizes)
+        if smallest == t:
             return True
-        i = sizes.index(min(sizes))
-        used = mask_of(v for c in classes for v in c) | avoid_mask
-        cand = _blowup_candidates(H, classes, i, used)
-        opts = list(bits(cand))
+        i = sizes.index(smallest)
+        a, b = i - 1, (i + 1) % 8
+        opts = list(bits(full & ~used & near[i - 2] & skip[i] & near[b]))
         if len(opts) > 8:
             idx = rng.permutation(len(opts))[:8]
             opts = [opts[int(j)] for j in idx]
+        cls = classes[i]
+        saved = near[a], near[i], skip[a], skip[b]
         for v in opts:
-            classes[i].append(v)
+            near[a] = saved[0] & link(v, classes[a])
+            near[i] = saved[1] & link(v, classes[b])
+            skip[a] = saved[2] & link(v, classes[i - 2])
+            skip[b] = saved[3] & link(v, classes[(i + 2) % 8])
+            cls.append(v)
+            sizes[i] += 1
+            used |= 1 << v
             if rec():
                 return True
-            classes[i].pop()
+            cls.pop()
+            sizes[i] -= 1
+            used ^= 1 << v
+        near[a], near[i], skip[a], skip[b] = saved
         return False
 
     if rec():

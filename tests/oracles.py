@@ -11,6 +11,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from tightcycles.density import as_density_fraction
+from tightcycles.hypercore import bits, mask_of, verify_tight_path
+from tightcycles.motifs import blowup_path_ordering
 
 
 def subset_min_sum(values):
@@ -158,3 +160,51 @@ def naive_tight_hamilton(H) -> bool:
         if ok:
             return True
     return False
+
+
+def _blowup_candidates_reference(H, classes, i, used) -> int:
+    cand = H.vertex_mask() & ~used
+    for da, db in ((-2, -1), (-1, 1), (1, 2)):
+        ca = classes[(i + da) % 8]
+        cb = classes[(i + db) % 8]
+        for u in ca:
+            for v in cb:
+                cand &= H.nbr_mask(u, v)
+                if not cand:
+                    return 0
+    return cand
+
+
+def grow_blowup_reference(H, classes, t, budget, rng, avoid_mask: int = 0):
+    """The C8 blow-up grower that rebuilds every candidate mask from scratch:
+    the same search tree, node order, budget accounting and RNG draws that
+    ``motifs._grow_blowup`` must reproduce."""
+    classes = [list(c) for c in classes]
+    budget_left = [budget]
+
+    def rec() -> bool:
+        if budget_left[0] <= 0:
+            return False
+        budget_left[0] -= 1
+        sizes = [len(c) for c in classes]
+        if min(sizes) == t:
+            return True
+        i = sizes.index(min(sizes))
+        used = mask_of(v for c in classes for v in c) | avoid_mask
+        cand = _blowup_candidates_reference(H, classes, i, used)
+        opts = list(bits(cand))
+        if len(opts) > 8:
+            idx = rng.permutation(len(opts))[:8]
+            opts = [opts[int(j)] for j in idx]
+        for v in opts:
+            classes[i].append(v)
+            if rec():
+                return True
+            classes[i].pop()
+        return False
+
+    if rec():
+        ordering = blowup_path_ordering(classes)
+        if verify_tight_path(H, ordering):
+            return classes
+    return None

@@ -1,15 +1,23 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_cherry_count, naive_embedding_count, naive_k4minus_count
+from oracles import (
+    grow_blowup_reference,
+    naive_cherry_count,
+    naive_embedding_count,
+    naive_k4minus_count,
+)
 from tightcycles import constructions as cons
 from tightcycles import motifs as mt
 from tightcycles.errors import BudgetError
 from tightcycles.hypercore import (
     PairSet,
+    bits,
     codegree,
     from_edges,
+    mask_of,
     verify_tight_cycle,
     verify_tight_path,
 )
@@ -300,3 +308,70 @@ def test_find_c8_blowup_respects_avoid():
     classes = mt.find_c8_blowup(cons.complete(40), seed=3, avoid=range(6))
     assert classes is not None
     assert not {v for c in classes for v in c} & set(range(6))
+
+
+GROW_HOSTS = {
+    "c8_blowup": lambda: cons.c8_blowup(4),
+    "complete40": lambda: cons.complete(40),
+    "dense40": lambda: cons.random(40, 0.95, 1),
+    "dense60": lambda: cons.random(60, 0.9, 3),
+    "sparse60": lambda: cons.random(60, 0.7, 0),
+}
+
+
+def _grow_seed_classes(H, avoid_mask):
+    """The seeds find_c8_blowup grows: a tight 8-cycle, and the double-apex
+    gadget, whose last two classes start empty."""
+    out = []
+    c8 = mt.find_c8(H, budget=15000, avoid=bits(avoid_mask))
+    if c8 is not None:
+        out.append([[v] for v in c8.vertices])
+    gadget = mt._find_double_apex_gadget(H, 0, avoid_mask=avoid_mask)
+    if gadget is not None:
+        out.append([[v] for v in gadget] + [[], []])
+    return out
+
+
+def _grow_both(H, classes, budget, avoid_mask=0, seed=0):
+    """Run the grower and the reference from identically seeded generators;
+    equal final generator states pin the draws node for node."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ref_rng = np.random.Generator(np.random.PCG64(seed))
+    got = mt._grow_blowup(H, classes, 4, budget, rng, avoid_mask)
+    want = grow_blowup_reference(H, classes, 4, budget, ref_rng, avoid_mask)
+    assert got == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize(
+    "host, avoid_mask, budget, found",
+    [
+        ("c8_blowup", 0, 20000, (True,)),
+        ("complete40", 0, 20000, (True, True)),
+        ("complete40", 0b111111, 20000, (True, True)),
+        ("dense40", 0, 20000, (True, True)),
+        ("dense40", 0b11111, 5000, (False, True)),
+        ("dense60", 0, 5000, (False, False)),
+        ("sparse60", 0b1111111, 5000, (False, False)),
+    ],
+)
+def test_grow_blowup_matches_reference(host, avoid_mask, budget, found):
+    H = GROW_HOSTS[host]()
+    results = [
+        _grow_both(H, classes, budget, avoid_mask, seed=k + 5)
+        for k, classes in enumerate(_grow_seed_classes(H, avoid_mask))
+    ]
+    assert tuple(r is not None for r in results) == found
+    for got in results:
+        if got is not None:
+            assert not mask_of(v for c in got for v in c) & avoid_mask
+
+
+def test_grow_blowup_budget_sweep_matches_reference():
+    H = GROW_HOSTS["dense40"]()
+    outcomes = set()
+    for classes in _grow_seed_classes(H, 0):
+        for budget in range(1, 301):
+            outcomes.add(_grow_both(H, classes, budget) is not None)
+    assert outcomes == {False, True}
