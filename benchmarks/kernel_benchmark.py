@@ -12,21 +12,6 @@ from tightcycles import _pykernels, constructions as cons
 from tightcycles.kernels import HAS_COMPILED
 
 
-def _nbr(H):
-    n = H.n
-    return [H.nbr_mask(u, v) if u != v else 0 for u in range(n) for v in range(n)]
-
-
-def _links(H):
-    off, la, lb = [0], [], []
-    for v in range(H.n):
-        for a, b in H.link_pairs(v).tolist():
-            la.append(a)
-            lb.append(b)
-        off.append(len(la))
-    return off, la, lb
-
-
 def timed(fn, *args, repeat=1):
     best = float("inf")
     result = None
@@ -50,20 +35,20 @@ def main():
 
     H = cons.random(15, 0.55, 3)
     cases.append(
-        ("hamilton DP n=15", "tight_hamilton_cycle", (H.n, _nbr(H)))
+        ("hamilton DP n=15", "tight_hamilton_cycle", (H.n, H.nbr_flat()))
     )
     E = cons.example1(16, 5)
     cases.append(
-        ("hamilton DP n=16 (two-colouring)", "tight_hamilton_cycle", (E.n, _nbr(E)))
+        ("hamilton DP n=16 (two-colouring)", "tight_hamilton_cycle", (E.n, E.nbr_flat()))
     )
     H2 = cons.random(14, 0.5, 7)
-    off, la, lb = _links(H2)
+    off, la, lb = H2.link_lists()
     cases.append(("ev exact n=14", "ev_exact", (H2.n, off, la, lb, 1, 4)))
     H3 = cons.random(9, 0.5, 11)
-    off3, ia3, ib3 = _links(H3)
+    off3, ia3, ib3 = H3.link_lists()
     cases.append(("vvv exact n=9", "vvv_exact", (H3.n, off3, ia3, ib3, 1, 4)))
     H4 = cons.random(5, 0.5, 13)
-    cases.append(("ee exact n=5", "ee_exact", (H4.n, _nbr(H4), 1, 4)))
+    cases.append(("ee exact n=5", "ee_exact", (H4.n, H4.nbr_flat(), 1, 4)))
 
     print(f"{'case':36} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>9}")
     for name, fname, fargs in cases:

@@ -47,7 +47,7 @@ def tight_hamilton_cycle(n: int, nbr: list[int]) -> list[int] | None:
             changed = False
             for key in list(dp):
                 cur = dp[key]
-                u, v = divmod(key, n)
+                v = key % n
                 ext = nbr[key]
                 while ext:
                     w = _ctz(ext)

@@ -15,6 +15,7 @@ from . import constructions as cons
 from . import density, hamilton, motifs, oracle
 from .hypercore import (
     PairSet,
+    bits,
     from_edges,
     mask_of,
     verify_tight_cycle,
@@ -67,23 +68,6 @@ def criterion_1() -> CriterionResult:
 # -- 2: ev exactness ----------------------------------------------------------
 
 
-def _full_ev_enumeration(H, d: Fraction) -> Fraction:
-    """Independent oracle: exhaust X; for each X materialise all subset sums
-    over P by iterative doubling (no per-pair sign shortcut)."""
-    p, q = d.numerator, d.denominator
-    n = H.n
-    pairs = [(y, z) for y in range(n) for z in range(n) if y != z]
-    best = 0
-    for xbits in range(1 << n):
-        k = bin(xbits).count("1")
-        sums = np.zeros(1, dtype=np.int64)
-        for y, z in pairs:
-            margin = (H.nbr_mask(y, z) & xbits).bit_count() * q - p * k
-            sums = np.concatenate([sums, sums + np.int64(margin)])
-        best = min(best, int(sums.min()))
-    return Fraction(best, q)
-
-
 def criterion_2() -> CriterionResult:
     def run():
         bad = []
@@ -92,7 +76,7 @@ def criterion_2() -> CriterionResult:
             H = cons.random(n, 0.5, seed=2000 + seed)
             d = Fraction(1, 4) if seed % 2 == 0 else Fraction(1, 2)
             got = Fraction(*density.ev_deviation(H, d, "exact").raw_fraction)
-            want = _full_ev_enumeration(H, d)
+            want = oracle.brute_ev_raw(H, d)
             if got != want:
                 bad.append((n, seed, str(got), str(want)))
         return not bad, {"cases": len(cases), "mismatches": bad}
@@ -344,7 +328,7 @@ def criterion_9() -> CriterionResult:
             A = hamilton.find_absorber(H, seed=int(rng.integers(2**31)))
             if A is None:
                 continue
-            opts = [sorted(_bits_list(m)) for m in A.eligible]
+            opts = [list(bits(m)) for m in A.eligible]
             for _ in range(50):
                 if checked >= 1000:
                     break
@@ -380,15 +364,6 @@ def criterion_9() -> CriterionResult:
     return _timed(9, "absorber soundness and the exchange fixture", run)
 
 
-def _bits_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 # -- 10: cherry and connection cross-checks ------------------------------------------
 
 
@@ -402,7 +377,7 @@ def criterion_10() -> CriterionResult:
                 (a, b) for a in range(n) for b in range(a + 1, n)
             )
             got = motifs.count_cherries(H, allp, allp).count
-            want = _naive_cherries(H)
+            want = oracle.naive_cherry_count(H)
             if got != want:
                 mismatches.append((i, got, want))
         K5 = cons.complete(5)
@@ -435,20 +410,6 @@ def criterion_10() -> CriterionResult:
         }
 
     return _timed(10, "cherry counts and cross-class connection absence", run)
-
-
-def _naive_cherries(H) -> int:
-    n = H.n
-    total = 0
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for w in range(n):
-                    if len({x, y, z, w}) != 4:
-                        continue
-                    if H.has_edge(x, y, z) and H.has_edge(y, z, w):
-                        total += 1
-    return total
 
 
 # -- 11: density-notion hierarchy -------------------------------------------------

@@ -2,8 +2,9 @@
 assembly pipeline and the exact oracle, with human tables or machine JSON.
 
 Exit codes: 0 verified success, 1 legitimate absence (searched, not found),
-2 usage error, 3 budget or precondition violation (JSON diagnostic on
-stderr).
+2 usage error, including a file that cannot be read or written, 3 budget or
+precondition violation.  Codes 2 and 3 raised by a running command carry a
+JSON diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -71,9 +71,6 @@ def _parse_ints(text: str) -> list[int]:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tightcycles", description=__doc__)
     top.add_argument("--format", choices=("json", "text"), default="json")
-    top.add_argument("--threads", type=int,
-                     default=int(os.environ.get("TIGHTCYCLES_THREADS", "1")),
-                     help="worker capability hint (current implementation is serial)")
     top.add_argument("--strict", action="store_true",
                      help="require an explicit --seed on randomized subcommands")
     sub = top.add_subparsers(dest="command", required=True)
@@ -160,8 +157,6 @@ RANDOMIZED = {"gen", "density", "motifs", "hamilton"}
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     if args.strict and args.command in RANDOMIZED and getattr(args, "seed", None) is None:
         parser.error(f"--strict requires --seed for '{args.command}'")
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
@@ -169,11 +164,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     t0 = time.time()
     try:
         code, payload = _dispatch(args)
-    except (BudgetError, ValueError) as exc:
+    except (OSError, BudgetError, ValueError) as exc:
         diag = {"schema_version": SCHEMA_VERSION, "error": type(exc).__name__,
                 "message": str(exc)}
         print(json.dumps(diag, sort_keys=True), file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, OSError) else 3
     _emit(args, payload, {"total": time.time() - t0})
     return code
 

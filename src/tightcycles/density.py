@@ -156,27 +156,6 @@ def ee_value(H, d, P: Iterable[tuple[int, int]], Q: Iterable[tuple[int, int]]) -
     return e - d * k
 
 
-# -- shared kernel input marshalling ----------------------------------------
-
-
-def _link_arrays(H: Hypergraph3):
-    """Per-vertex link pairs (a<b) as flat offset/column arrays."""
-    off = [0]
-    la: list[int] = []
-    lb: list[int] = []
-    for v in range(H.n):
-        for a, b in H.link_pairs(v).tolist():
-            la.append(a)
-            lb.append(b)
-        off.append(len(la))
-    return off, la, lb
-
-
-def _nbr_flat(H: Hypergraph3) -> list[int]:
-    n = H.n
-    return [H.nbr_mask(u, v) if u != v else 0 for u in range(n) for v in range(n)]
-
-
 def _report(notion, H, mode, dfrac, raw: Fraction, witness, exact, samples=None):
     n3 = max(H.n, 1) ** 3
     rho = Fraction(0) if raw >= 0 else -raw / n3
@@ -234,8 +213,7 @@ def ev_deviation(
             raise BudgetError(
                 f"ev exact exceeds exact budget (n={H.n} > {EV_EXACT_MAX_N})"
             )
-        off, la, lb = _link_arrays(H)
-        _, xmask = kernels.backend().ev_exact(H.n, off, la, lb, p, q)
+        _, xmask = kernels.backend().ev_exact(H.n, *H.link_lists(), p, q)
         xs, P = _ev_witness_from_mask(H, p, q, int(xmask))
         raw = ev_value(H, dfrac, xs, P)
         return _report("ev", H, mode, dfrac, raw, {"X": xs, "P": P}, True)
@@ -260,10 +238,8 @@ def _ev_search(H, p, q, seed, restarts=32, budget=None):
     if n == 0:
         return 0, 0
     rng = np.random.Generator(np.random.PCG64(seed))
-    linkkeys = [
-        np.array([a * n + b for a, b in H.link_pairs(v).tolist()], dtype=np.int64)
-        for v in range(n)
-    ]
+    off, pairs = H.link_index()
+    linkkeys = np.split(pairs[:, 0] * n + pairs[:, 1], off[1:-1])
     valid = np.array([a * n + b for a in range(n) for b in range(a + 1, n)], dtype=np.int64)
     npairs = len(valid)
     cgrid = np.arange(n, dtype=np.int64)
@@ -361,8 +337,7 @@ def vvv_deviation(
             raise BudgetError(
                 f"vvv exact exceeds exact budget (n={H.n} > {VVV_EXACT_MAX_N})"
             )
-        off, ia, ib = _inc_arrays(H)
-        _, xm, ym = kernels.backend().vvv_exact(H.n, off, ia, ib, p, q)
+        _, xm, ym = kernels.backend().vvv_exact(H.n, *H.link_lists(), p, q)
         xs, ys, zs = _vvv_witness(H, p, q, int(xm), int(ym))
         raw = vvv_value(H, dfrac, xs, ys, zs)
         return _report("vvv", H, mode, dfrac, raw, {"X": xs, "Y": ys, "Z": zs}, True)
@@ -375,19 +350,6 @@ def vvv_deviation(
         "vvv", H, mode, dfrac, raw, {"X": xs, "Y": ys, "Z": zs}, False,
         samples=used if mode == "sampled" else None,
     )
-
-
-def _inc_arrays(H: Hypergraph3):
-    """Per-vertex edge incidences: for v, the other two vertices of each edge."""
-    off = [0]
-    ia: list[int] = []
-    ib: list[int] = []
-    for v in range(H.n):
-        for a, b in H.link_pairs(v).tolist():
-            ia.append(a)
-            ib.append(b)
-        off.append(len(ia))
-    return off, ia, ib
 
 
 def _vvv_witness(H, p, q, xmask, ymask):
@@ -469,7 +431,7 @@ def ee_deviation(
             raise BudgetError(
                 f"ee exact exceeds exact budget (n={H.n} > {EE_EXACT_MAX_N})"
             )
-        _, pmask = kernels.backend().ee_exact(H.n, _nbr_flat(H), p, q)
+        _, pmask = kernels.backend().ee_exact(H.n, H.nbr_flat(), p, q)
         pairs = ee_pair_list(H.n)
         P = [pairs[i] for i in bits(int(pmask))]
         Q = _ee_best_q(H, p, q, P)

@@ -20,6 +20,8 @@ from .hypercore import (
     TightPath,
     bits,
     mask_of,
+    pair_key,
+    pair_of,
     verify_tight_cycle,
     verify_tight_path,
 )
@@ -246,13 +248,9 @@ def almost_cover(
 def _grow_path(H, masks, min_len, rng, attempts):
     n = H.n
     keys = sorted(masks)
-
-    def key_of(a, b):
-        return a * n + b if a < b else b * n + a
-
     for _ in range(attempts):
         key = keys[int(rng.integers(len(keys)))]
-        u, v = divmod(key, n)
+        u, v = pair_of(key, n)
         wopts = list(bits(masks[key]))
         wpick = wopts[int(rng.integers(len(wopts)))]
         seq = [u, v, wpick]
@@ -261,20 +259,20 @@ def _grow_path(H, masks, min_len, rng, attempts):
         grew = True
         while grew:
             grew = False
-            cand = masks.get(key_of(seq[-2], seq[-1]), 0) & ~used
+            cand = masks.get(pair_key(seq[-2], seq[-1], n), 0) & ~used
             if cand:
                 t = max(
                     bits(cand),
-                    key=lambda c: (masks.get(key_of(seq[-1], c), 0) & ~used).bit_count(),
+                    key=lambda c: (masks.get(pair_key(seq[-1], c, n), 0) & ~used).bit_count(),
                 )
                 seq.append(t)
                 used |= 1 << t
                 grew = True
-            cand = masks.get(key_of(seq[1], seq[0]), 0) & ~used
+            cand = masks.get(pair_key(seq[1], seq[0], n), 0) & ~used
             if cand:
                 t = max(
                     bits(cand),
-                    key=lambda c: (masks.get(key_of(c, seq[0]), 0) & ~used).bit_count(),
+                    key=lambda c: (masks.get(pair_key(c, seq[0], n), 0) & ~used).bit_count(),
                 )
                 seq.insert(0, t)
                 used |= 1 << t
@@ -365,11 +363,6 @@ def find_absorber(
             yv = K[3 + i]
             best = None
             avail = H.vertex_mask() & ~fmask & ~used
-            adj = [0] * n
-            for a, b in H.link_pairs(yv).tolist():
-                if (avail >> a) & 1 and (avail >> b) & 1:
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
             edges = [
                 (a, b)
                 for a, b in H.link_pairs(yv).tolist()
@@ -379,8 +372,10 @@ def find_absorber(
             spent = 0
             for b_, c_ in edges:
                 for bb, cc in ((b_, c_), (c_, b_)):
-                    for a_ in bits(adj[bb] & ~(1 << cc)):
-                        dmask = adj[cc] & ~(1 << a_) & ~(1 << bb)
+                    # the link of yv inside avail: bb's neighbours are N(yv, bb)
+                    cnbr = H.nbr_mask(yv, cc) & avail & ~(1 << bb)
+                    for a_ in bits(H.nbr_mask(yv, bb) & avail & ~(1 << cc)):
+                        dmask = cnbr & ~(1 << a_)
                         for d_ in bits(dmask):
                             spent += 1
                             elig = (

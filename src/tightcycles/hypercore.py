@@ -30,6 +30,8 @@ __all__ = [
     "write_h3",
     "bits",
     "mask_of",
+    "pair_key",
+    "pair_of",
 ]
 
 
@@ -49,12 +51,17 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 class Hypergraph3:
-    """Immutable 3-uniform hypergraph with eager pair and vertex indices."""
+    """Immutable 3-uniform hypergraph, indexed by pair neighbourhoods.
+
+    The eager index maps each shadow pair key ``u*n+v`` (u < v), in ascending
+    key order, to the bitmask N(u, v).  The link index is built on first use:
+    CSR offsets plus a 3m x 2 pair array holding, for each vertex, its link
+    pairs in edge order.
+    """
 
     __slots__ = (
         "n",
         "triples",
-        "_packed",
         "_pair_nbr",
         "_deg",
         "_link_cache",
@@ -65,15 +72,9 @@ class Hypergraph3:
         self.n = int(n)
         self.triples = triples  # m x 3 int64, rows sorted, lexicographically ordered
         self.triples.setflags(write=False)
-        nn = self.n
-        self._packed = triples[:, 0] * nn * nn + triples[:, 1] * nn + triples[:, 2]
-        self._packed.setflags(write=False)
         self._pair_nbr = self._build_pair_index()
-        deg = np.zeros(nn, dtype=np.int64)
-        if len(triples):
-            np.add.at(deg, triples.ravel(), 1)
-        self._deg = deg
-        self._link_cache: dict[int, np.ndarray] | None = None
+        self._deg = np.bincount(triples.ravel(), minlength=self.n)
+        self._link_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -110,12 +111,13 @@ class Hypergraph3:
         return [tuple(row) for row in self.triples.tolist()]
 
     def has_edge(self, a: int, b: int, c: int) -> bool:
-        a, b, c = sorted((a, b, c))
-        if a == b or b == c:
+        """False for repeated or out-of-range vertices: N(u, v) never holds
+        u or v, and a repeated pair has no key in the index."""
+        n = self.n
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
             return False
-        key = (a * self.n + b) * self.n + c
-        i = np.searchsorted(self._packed, key)
-        return bool(i < len(self._packed) and self._packed[i] == key)
+        key = a * n + b if a < b else b * n + a
+        return bool(self._pair_nbr.get(key, 0) >> int(c) & 1)
 
     def nbr_mask(self, u: int, v: int) -> int:
         """Bitmask of N(u, v), the third vertices completing an edge."""
@@ -123,23 +125,50 @@ class Hypergraph3:
             u, v = v, u
         return self._pair_nbr.get(u * self.n + v, 0)
 
-    def link_pairs(self, v: int) -> np.ndarray:
-        """The link of ``v``: a k x 2 array of pairs {a, b} with {v,a,b} an edge."""
-        if self._link_cache is None:
-            cache: dict[int, list] = {i: [] for i in range(self.n)}
-            for a, b, c in self.triples.tolist():
-                cache[a].append((b, c))
-                cache[b].append((a, c))
-                cache[c].append((a, b))
-            self._link_cache = {
-                v: np.array(ps, dtype=np.int64).reshape(-1, 2)
-                for v, ps in cache.items()
-            }
-        return self._link_cache[v]
+    def pair_masks(self) -> Iterator[tuple[int, int, int]]:
+        """(u, v, N(u, v)) for every shadow pair u < v, in ascending key order."""
+        n = self.n
+        for key, mask in self._pair_nbr.items():
+            u, v = divmod(key, n)
+            yield u, v, mask
 
-    def shadow_keys(self) -> Iterable[int]:
-        """Pair keys u*n+v (u<v) of the shadow, ascending."""
-        return sorted(self._pair_nbr)
+    def nbr_flat(self) -> list[int]:
+        """N(u, v) at position u*n+v for every ordered pair, 0 on the
+        diagonal: the kernels' neighbourhood input."""
+        n = self.n
+        flat = [0] * (n * n)
+        for u, v, mask in self.pair_masks():
+            flat[u * n + v] = flat[v * n + u] = mask
+        return flat
+
+    def link_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR link index ``(off, pairs)``: the link of v is
+        ``pairs[off[v]:off[v+1]]``, pairs (a, b) with a < b, in edge order."""
+        if self._link_cache is None:
+            t = self.triples
+            # edge i contributes (b, c) to a, (a, c) to b and (a, b) to c, in
+            # that order, so a stable sort on the owner keeps edge order
+            pairs = t[:, [1, 2, 0, 2, 0, 1]].reshape(-1, 2)
+            pairs = pairs[np.argsort(t.ravel(), kind="stable")]
+            off = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(self._deg, out=off[1:])
+            pairs.setflags(write=False)
+            off.setflags(write=False)
+            self._link_cache = (off, pairs)
+        return self._link_cache
+
+    def link_pairs(self, v: int) -> np.ndarray:
+        """The link of ``v``: a read-only k x 2 array of pairs {a, b} with
+        {v,a,b} an edge, in edge order."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
+        off, pairs = self.link_index()
+        return pairs[off[v] : off[v + 1]]
+
+    def link_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """The link index as the kernels' ``(off, a, b)`` lists."""
+        off, pairs = self.link_index()
+        return off.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist()
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -156,7 +185,29 @@ class Hypergraph3:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._packed.tobytes()))
+        return hash((self.n, self.triples.tobytes()))
+
+
+def pair_key(u: int, v: int, n: int) -> int:
+    """The index key ``min*n + max`` of the unordered pair {u, v}."""
+    return u * n + v if u < v else v * n + u
+
+
+def pair_of(key: int, n: int) -> tuple[int, int]:
+    """The pair (u, v), u < v, behind an index key."""
+    return divmod(key, n)
+
+
+def _dedupe(n: int, arr: np.ndarray) -> np.ndarray:
+    """Sort each row, drop repeated rows and order them lexicographically,
+    through the 1-D key (a*n+b)*n+c."""
+    arr = np.sort(arr, axis=1)
+    keys = np.sort((arr[:, 0] * n + arr[:, 1]) * n + arr[:, 2])
+    # a sort and a neighbour test beat np.unique, which hashes the keys first
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    ab, c = np.divmod(keys, n)
+    a, b = np.divmod(ab, n)
+    return np.stack([a, b, c], axis=1)
 
 
 def from_edges(n: int, triples: Iterable[Sequence[int]]) -> Hypergraph3:
@@ -173,22 +224,13 @@ def from_edges(n: int, triples: Iterable[Sequence[int]]) -> Hypergraph3:
             raise ValueError(f"edge {tuple(t)} repeats a vertex")
         if not all(0 <= x < n for x in (a, b, c)):
             raise ValueError(f"edge {tuple(t)} has a vertex outside 0..{n - 1}")
-        rows.append(sorted((a, b, c)))
-    if rows:
-        arr = np.array(rows, dtype=np.int64)
-        arr = np.unique(arr, axis=0)
-    else:
-        arr = np.zeros((0, 3), dtype=np.int64)
-    return Hypergraph3(n, arr)
+        rows.append((a, b, c))
+    return Hypergraph3(n, _dedupe(n, np.array(rows, dtype=np.int64).reshape(-1, 3)))
 
 
 def from_triple_array(n: int, arr: np.ndarray) -> Hypergraph3:
     """Fast path for generators: rows are assumed valid, possibly unsorted."""
-    if len(arr) == 0:
-        return Hypergraph3(n, np.zeros((0, 3), dtype=np.int64))
-    arr = np.sort(arr.astype(np.int64), axis=1)
-    arr = np.unique(arr, axis=0)
-    return Hypergraph3(n, arr)
+    return Hypergraph3(n, _dedupe(n, np.asarray(arr, dtype=np.int64).reshape(-1, 3)))
 
 
 # -- degrees ------------------------------------------------------------
@@ -428,4 +470,7 @@ def read_h3(path: str) -> Hypergraph3:
             triples.append(tuple(int(p) for p in parts))
         if len(triples) != m:
             raise ValueError(f"header declares {m} edges, file has {len(triples)}")
-    return from_edges(n, triples)
+    H = from_edges(n, triples)
+    if H.m != m:
+        raise ValueError(f"header declares {m} edges, file has {H.m} distinct")
+    return H

@@ -20,8 +20,11 @@ from .hypercore import (
     PairSet,
     TightPath,
     bits,
+    degree,
     from_edges,
     mask_of,
+    pair_key,
+    pair_of,
     verify_tight_path,
 )
 
@@ -75,15 +78,11 @@ def _cleaned_masks(H: Hypergraph3, thr: float, allowed_mask: Optional[int] = Non
     if allowed_mask is None:
         allowed_mask = H.vertex_mask()
     masks: dict[int, int] = {}
-    for key, m in H._pair_nbr.items():
-        u, v = divmod(key, n)
+    for u, v, m in H.pair_masks():
         if (allowed_mask >> u) & 1 and (allowed_mask >> v) & 1:
             mm = m & allowed_mask
             if mm:
-                masks[key] = mm
-
-    def key_of(a: int, b: int) -> int:
-        return a * n + b if a < b else b * n + a
+                masks[pair_key(u, v, n)] = mm
 
     queue = deque(k for k, m in masks.items() if 0 < m.bit_count() < thr)
     while queue:
@@ -91,11 +90,11 @@ def _cleaned_masks(H: Hypergraph3, thr: float, allowed_mask: Optional[int] = Non
         m = masks.get(key, 0)
         if m == 0 or m.bit_count() >= thr:
             continue
-        u, v = divmod(key, n)
+        u, v = pair_of(key, n)
         masks[key] = 0
         for w in bits(m):
             for a, b in ((u, w), (v, w)):
-                k2 = key_of(a, b)
+                k2 = pair_key(a, b, n)
                 third = (u + v + w) - a - b
                 m2 = masks.get(k2, 0)
                 if (m2 >> third) & 1:
@@ -109,7 +108,7 @@ def _cleaned_masks(H: Hypergraph3, thr: float, allowed_mask: Optional[int] = Non
 def _masks_to_hypergraph(n: int, masks: dict[int, int]) -> Hypergraph3:
     triples = []
     for key, m in masks.items():
-        u, v = divmod(key, n)
+        u, v = pair_of(key, n)
         for w in bits(m):
             if w > v:
                 triples.append((u, v, w))
@@ -127,10 +126,8 @@ def clean(H: Hypergraph3, beta: float) -> Hypergraph3:
 def _high_codegree_masks(H: Hypergraph3, thr: float) -> list[int]:
     """For each vertex y, the bitmask of z with codegree(y, z) >= thr."""
     high = [0] * H.n
-    n = H.n
-    for key, m in H._pair_nbr.items():
+    for u, v, m in H.pair_masks():
         if m.bit_count() >= thr:
-            u, v = divmod(key, n)
             high[u] |= 1 << v
             high[v] |= 1 << u
     return high
@@ -150,10 +147,8 @@ def connectable_pairs(H: Hypergraph3, beta: float) -> PairSet:
         raise ValueError("beta must lie in (0, 1)")
     thr = beta * H.n
     high = _high_codegree_masks(H, thr)
-    n = H.n
     out = []
-    for key, m in H._pair_nbr.items():
-        u, v = divmod(key, n)
+    for u, v, m in H.pair_masks():
         if (m & high[v]).bit_count() >= thr:
             out.append((u, v))
         if (m & high[u]).bit_count() >= thr:
@@ -171,12 +166,9 @@ def count_k4minus(H: Hypergraph3, cap: Optional[int] = None) -> CountReport:
     total = 0
     cap_hit = False
     for a in range(n):
-        adj = [0] * n
+        nbr = [H.nbr_mask(a, u) for u in range(n)]  # N(a, u) is u's link neighbourhood
         for u, v in H.link_pairs(a).tolist():
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        for u, v in H.link_pairs(a).tolist():
-            common = adj[u] & adj[v]
+            common = nbr[u] & nbr[v]
             total += (common >> (v + 1)).bit_count()  # base third above v
         if cap is not None and total > cap:
             cap_hit = True
@@ -219,8 +211,7 @@ def count_cherries(
     qm = Q.endpoint_mask_by_first(n)
     total = 0
     cap_hit = False
-    for key, m in H._pair_nbr.items():
-        u, v = divmod(key, n)
+    for u, v, m in H.pair_masks():
         for y, z in ((u, v), (v, u)):
             a = m & pm.get(y, 0)
             b = m & qm.get(z, 0)
@@ -288,14 +279,13 @@ def find_turns(H: Hypergraph3, samples: int, seed: int) -> list[Turn]:
     seen = set()
     if n < 7:
         return found
-    shadow = sorted(H._pair_nbr)
+    shadow = [(u, v) for u, v, _ in H.pair_masks()]
     for step in range(samples):
         if step % 2 == 0 or not shadow:
             vs = rng.choice(n, size=7, replace=False).tolist()
             cand = Turn(*vs)
         else:
-            key = shadow[int(rng.integers(len(shadow)))]
-            c, d = divmod(key, n)
+            c, d = shadow[int(rng.integers(len(shadow)))]
             amask = H.nbr_mask(c, d)
             alist = list(bits(amask))
             if len(alist) < 3:
@@ -563,7 +553,6 @@ def find_c8(
 ) -> Optional[TightPath]:
     """Backtrack for a tight cycle on 8 vertices (rooted at its minimum
     vertex, direction canonicalised) outside ``avoid``."""
-    n = H.n
     allowed = H.vertex_mask() & ~mask_of(avoid)
     if allowed.bit_count() < 8:
         return None
@@ -592,11 +581,10 @@ def find_c8(
 
     for v0 in bits(allowed):
         above = allowed >> (v0 + 1) << (v0 + 1)
-        for key in sorted(H._pair_nbr):
-            u, v = divmod(key, H.n)
-            if u != v0 or not (above >> v) & 1:
+        for v in bits(above):
+            if not H.nbr_mask(v0, v):
                 continue
-            res = rec([u, v], (1 << u) | (1 << v), above)
+            res = rec([v0, v], (1 << v0) | (1 << v), above)
             if res is not None:
                 return TightPath(tuple(res), is_cycle=True)
             if budget_left[0] <= 0:
@@ -651,20 +639,16 @@ def _find_double_apex_gadget(H: Hypergraph3, seed: int, tries: int = 300, avoid_
         a = int(rng.integers(n))
         if not (ok_mask >> a) & 1:
             continue
-        link = H.link_pairs(a)
-        if len(link) == 0:
+        if degree(H, a) == 0:
             continue
-        adj = [0] * n
-        for u, v in link.tolist():
-            if (ok_mask >> u) & 1 and (ok_mask >> v) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
         x = int(rng.integers(n))
-        if x == a or not (ok_mask >> x) & 1 or not adj[x]:
+        # the link of a restricted to ok_mask: u's neighbours are N(a, u)
+        xnbr = H.nbr_mask(a, x) & ok_mask
+        if x == a or not (ok_mask >> x) & 1 or not xnbr:
             continue
         tri = []
-        for u in bits(adj[x]):
-            for v in bits(adj[x] & adj[u] >> (u + 1) << (u + 1)):
+        for u in bits(xnbr):
+            for v in bits(xnbr & H.nbr_mask(a, u) >> (u + 1) << (u + 1)):
                 tri.append((u, v))
         if len(tri) < 2:
             continue

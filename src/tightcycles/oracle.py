@@ -1,12 +1,17 @@
 """Exact ground truth at small scale: tight-Hamiltonicity by bitmask DP,
-permutation-level brute force, and exact bounded path counting."""
+permutation-level brute force, exact bounded path counting, and the
+brute-force counts the exact deviation and cherry modes are checked against."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import kernels
+from .density import as_density_fraction
 from .errors import BudgetError
 from .hypercore import Hypergraph3, TightPath, bits, verify_tight_cycle
 
@@ -17,6 +22,9 @@ __all__ = [
     "extract_tight_hamilton",
     "exhaustive_hamilton",
     "count_paths_between",
+    "subset_min_sum",
+    "brute_ev_raw",
+    "naive_cherry_count",
 ]
 
 
@@ -35,11 +43,6 @@ class OracleLimits:
 DEFAULT_LIMITS = OracleLimits()
 
 
-def _nbr_flat(H: Hypergraph3) -> list[int]:
-    n = H.n
-    return [H.nbr_mask(u, v) if u != v else 0 for u in range(n) for v in range(n)]
-
-
 def _dp_cycle(H: Hypergraph3, limits: OracleLimits) -> Optional[list[int]]:
     if H.n > limits.max_n_dp:
         raise BudgetError(f"DP budget exceeded (n={H.n} > {limits.max_n_dp})")
@@ -48,7 +51,7 @@ def _dp_cycle(H: Hypergraph3, limits: OracleLimits) -> Optional[list[int]]:
     # a tight cycle puts every vertex into three edges
     if H.n and min(int(x) for x in H._deg) < 3:
         return None
-    return kernels.backend().tight_hamilton_cycle(H.n, _nbr_flat(H))
+    return kernels.backend().tight_hamilton_cycle(H.n, H.nbr_flat())
 
 
 def has_tight_hamilton(H: Hypergraph3, limits: OracleLimits = DEFAULT_LIMITS) -> bool:
@@ -132,3 +135,52 @@ def count_paths_between(
         return total
 
     return rec(x, y, (1 << x) | (1 << y), inner)
+
+
+# -- brute-force counts -----------------------------------------------------------
+#
+# These deliberately avoid the per-element sign shortcut the exact modes rely
+# on: inner minimisations materialise every subset sum by iterative doubling,
+# so each one genuinely enumerates the full search space.
+
+
+def subset_min_sum(values) -> int:
+    """Minimum over all subsets of the sum of chosen values, by doubling.
+
+    Materialises all 2^k subset sums; k is capped by the caller.
+    """
+    sums = np.zeros(1, dtype=np.int64)
+    for v in values:
+        sums = np.concatenate([sums, sums + np.int64(v)])
+    return int(sums.min())
+
+
+def brute_ev_raw(H: Hypergraph3, d) -> Fraction:
+    """min over (X, P) of e(X,P) - d|X||P| by exhausting X and all P subsets."""
+    d = as_density_fraction(d)
+    p, q = d.numerator, d.denominator
+    n = H.n
+    pairs = [(y, z) for y in range(n) for z in range(n) if y != z]
+    best = 0
+    for xbits in range(1 << n):
+        k = bin(xbits).count("1")
+        margins = [
+            (H.nbr_mask(y, z) & xbits).bit_count() * q - p * k for y, z in pairs
+        ]
+        best = min(best, subset_min_sum(margins))
+    return Fraction(best, q)
+
+
+def naive_cherry_count(H: Hypergraph3) -> int:
+    """Ordered 4-tuples of distinct vertices with both overlapping edges."""
+    n = H.n
+    total = 0
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                for w in range(n):
+                    if len({x, y, z, w}) != 4:
+                        continue
+                    if H.has_edge(x, y, z) and H.has_edge(y, z, w):
+                        total += 1
+    return total

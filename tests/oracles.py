@@ -2,7 +2,9 @@
 
 These deliberately avoid the per-element sign shortcut the library's exact
 modes rely on: inner minimisations materialise every subset sum by iterative
-doubling, so each oracle genuinely enumerates the full search space.
+doubling, so each oracle genuinely enumerates the full search space.  The ev
+and cherry oracles live in :mod:`tightcycles.oracle`, which the acceptance
+suite shares, and are re-exported here.
 """
 
 from fractions import Fraction
@@ -13,34 +15,30 @@ import numpy as np
 from tightcycles.density import as_density_fraction
 from tightcycles.hypercore import bits, mask_of, verify_tight_path
 from tightcycles.motifs import blowup_path_ordering
+from tightcycles.oracle import (  # noqa: F401  (re-exported)
+    brute_ev_raw,
+    naive_cherry_count,
+    subset_min_sum,
+)
 
 
-def subset_min_sum(values):
-    """Minimum over all subsets of the sum of chosen values, by doubling.
-
-    Materialises all 2^k subset sums; k is capped by the caller.
-    """
-    sums = np.zeros(1, dtype=np.int64)
-    for v in values:
-        sums = np.concatenate([sums, sums + np.int64(v)])
-    return int(sums.min())
+def dedupe_reference(arr) -> np.ndarray:
+    """The former triple dedupe: sort each row, then ``np.unique(axis=0)``."""
+    arr = np.asarray(arr, dtype=np.int64).reshape(-1, 3)
+    if len(arr) == 0:
+        return np.zeros((0, 3), dtype=np.int64)
+    return np.unique(np.sort(arr, axis=1), axis=0)
 
 
-def brute_ev_raw(H, d) -> Fraction:
-    """min over (X, P) of e(X,P) - d|X||P| by exhausting X and all P subsets."""
-    d = as_density_fraction(d)
-    p, q = d.numerator, d.denominator
-    n = H.n
-    pairs = [(y, z) for y in range(n) for z in range(n) if y != z]
-    best = 0
-    for xbits in range(1 << n):
-        k = bin(xbits).count("1")
-        margins = [
-            (H.nbr_mask(y, z) & xbits).bit_count() * q - p * k for y, z in pairs
-        ]
-        s = subset_min_sum(margins)
-        best = min(best, s)
-    return Fraction(best, q)
+def link_pairs_reference(H) -> dict:
+    """The former link cache: one Python pass over the triples, giving each
+    vertex its k x 2 array of link pairs in edge order."""
+    cache = {v: [] for v in range(H.n)}
+    for a, b, c in H.triples.tolist():
+        cache[a].append((b, c))
+        cache[b].append((a, c))
+        cache[c].append((a, b))
+    return {v: np.array(ps, dtype=np.int64).reshape(-1, 2) for v, ps in cache.items()}
 
 
 def brute_vvv_raw(H, d) -> Fraction:
@@ -85,21 +83,6 @@ def brute_ee_raw(H, d) -> Fraction:
             margins.append(a * q - p * b)
         best = min(best, subset_min_sum(margins))
     return Fraction(best, q)
-
-
-def naive_cherry_count(H) -> int:
-    """Ordered 4-tuples of distinct vertices with both overlapping edges."""
-    n = H.n
-    total = 0
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for w in range(n):
-                    if len({x, y, z, w}) != 4:
-                        continue
-                    if H.has_edge(x, y, z) and H.has_edge(y, z, w):
-                        total += 1
-    return total
 
 
 def naive_k4minus_count(H) -> int:

@@ -181,6 +181,16 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_missing_file_is_exit_2(tmp_path, capsys):
+    missing = tmp_path / "absent.h3"
+    code, stdout, err = run(capsys, "hamilton", "find", str(missing))
+    assert code == 2
+    assert stdout == ""
+    diag = json.loads(err)
+    assert diag["error"] == "FileNotFoundError"
+    assert str(missing) in diag["message"]
+
+
 def test_gen_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.h3", tmp_path / "b.h3"
     run(capsys, "gen", "--family", "example1", "--n", "20", "--seed", "9",
@@ -212,21 +222,3 @@ def test_text_format(tmp_path, capsys):
     )
     assert code == 0
     assert "hamiltonian: True" in stdout
-
-
-def test_threads_validation(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--threads", "0", "bench"])
-    assert exc.value.code == 2
-
-
-def test_threads_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TIGHTCYCLES_THREADS", "0")
-    out = tmp_path / "k5.h3"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["gen", "--family", "complete", "--n", "5", "-o", str(out)])
-    assert exc.value.code == 2
-    monkeypatch.setenv("TIGHTCYCLES_THREADS", "2")
-    code = cli.main(["gen", "--family", "complete", "--n", "5", "-o", str(out)])
-    capsys.readouterr()
-    assert code == 0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dedupe_reference, link_pairs_reference
 from tightcycles import constructions as cons
 from tightcycles.hypercore import (
     Graph,
@@ -12,12 +13,15 @@ from tightcycles.hypercore import (
     degree,
     first_violation,
     from_edges,
+    from_triple_array,
     min_codegree,
     min_degree,
     read_h3,
     shadow_between,
     verify_tight_cycle,
     verify_tight_path,
+    pair_key,
+    pair_of,
     write_h3,
 )
 
@@ -197,6 +201,10 @@ def test_h3_rejects_malformed(tmp_path):
     p.write_text("3 2\n0 1 2\n")
     with pytest.raises(ValueError):
         read_h3(str(p))
+    # a repeated edge line leaves fewer distinct edges than the header says
+    p.write_text("4 3\n0 1 2\n1 2 3\n2 1 0\n")
+    with pytest.raises(ValueError, match="distinct"):
+        read_h3(str(p))
 
 
 def test_graph_helpers():
@@ -205,3 +213,100 @@ def test_graph_helpers():
     assert G.edge_count() == 3
     assert G.degree(1) == 2
     assert G.count_between(0b00011, 0b00100) == 1
+
+
+# -- the pair and link indices against the former builders and the raw rows ----
+
+
+INDEX_HOSTS = [
+    pytest.param(from_edges(6, []), id="empty"),
+    pytest.param(from_edges(9, [(0, 1, 2), (1, 2, 3), (2, 3, 0), (5, 1, 3)]), id="isolated"),
+    pytest.param(cons.random(13, 0.12, 4), id="sparse"),
+    pytest.param(cons.random(11, 0.9, 5), id="dense"),
+    pytest.param(cons.complete(8), id="complete"),
+    pytest.param(cons.example1(14, 2), id="example1"),
+]
+
+
+def _scrambled_rows(H, seed):
+    """H's rows with each row permuted, the row order shuffled and about a
+    third of the rows repeated."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = H.triples.copy()
+    if len(rows):
+        rows = np.concatenate([rows, rows[rng.random(len(rows)) < 0.35]])
+        rows = rows[rng.permutation(len(rows))]
+        rows = np.array([r[rng.permutation(3)] for r in rows], dtype=np.int64)
+    return rows.reshape(-1, 3)
+
+
+@pytest.mark.parametrize("H", INDEX_HOSTS)
+def test_index_matches_former_builders(H):
+    for seed in range(3):
+        rows = _scrambled_rows(H, seed)
+        want = dedupe_reference(rows)
+        for G in (from_triple_array(H.n, rows), from_edges(H.n, rows.tolist())):
+            assert G.triples.dtype == np.int64
+            assert G.triples.shape == want.shape
+            assert np.array_equal(G.triples, want)
+            assert np.array_equal(G.triples, H.triples)
+            assert G == H and hash(G) == hash(H)
+    links = link_pairs_reference(H)
+    off, la, lb = H.link_lists()
+    assert off[0] == 0 and len(off) == H.n + 1
+    for v in range(H.n):
+        got = H.link_pairs(v)
+        assert got.dtype == np.int64 and got.shape == links[v].shape
+        assert np.array_equal(got, links[v])  # row for row, in edge order
+        assert not got.flags.writeable
+        assert degree(H, v) == len(got)
+        assert la[off[v] : off[v + 1]] == links[v][:, 0].tolist()
+        assert lb[off[v] : off[v + 1]] == links[v][:, 1].tolist()
+    for v in (-1, -2, H.n):
+        with pytest.raises(ValueError):
+            H.link_pairs(v)
+
+
+@pytest.mark.parametrize("H", INDEX_HOSTS)
+def test_has_edge_and_masks_match_raw_rows(H):
+    n = H.n
+    edges = {tuple(sorted(row)) for row in H.triples.tolist()}
+    vertices = range(-2, n + 2)
+    for a in vertices:
+        for b in vertices:
+            for c in vertices:
+                want = (
+                    len({a, b, c}) == 3
+                    and all(0 <= x < n for x in (a, b, c))
+                    and tuple(sorted((a, b, c))) in edges
+                )
+                assert H.has_edge(a, b, c) == want, (a, b, c)
+    for a, b, c in list(edges)[:20]:
+        assert H.has_edge(np.int64(c), np.int64(a), np.int64(b))
+    flat = H.nbr_flat()
+    assert len(flat) == n * n
+    for u in range(n):
+        for v in range(n):
+            want = 0
+            if u != v:
+                for w in range(n):
+                    if tuple(sorted((u, v, w))) in edges:
+                        want |= 1 << w
+            assert H.nbr_mask(u, v) == want
+            assert flat[u * n + v] == want
+    shadow = list(H.pair_masks())
+    assert [(u, v) for u, v, _ in shadow] == sorted(
+        {(u, v) for u in range(n) for v in range(u + 1, n) if H.nbr_mask(u, v)}
+    )
+    assert all(m == H.nbr_mask(u, v) for u, v, m in shadow)
+
+
+def test_pair_key_roundtrip():
+    n = 9
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            key = pair_key(u, v, n)
+            assert key == pair_key(v, u, n)
+            assert pair_of(key, n) == (min(u, v), max(u, v))

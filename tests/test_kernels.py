@@ -8,26 +8,11 @@ from tightcycles.hypercore import verify_tight_cycle
 compiled = pytest.importorskip("tightcycles._kernels")
 
 
-def _nbr(H):
-    n = H.n
-    return [H.nbr_mask(u, v) if u != v else 0 for u in range(n) for v in range(n)]
-
-
-def _links(H):
-    off, la, lb = [0], [], []
-    for v in range(H.n):
-        for a, b in H.link_pairs(v).tolist():
-            la.append(a)
-            lb.append(b)
-        off.append(len(la))
-    return off, la, lb
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_hamilton_kernels_agree(seed):
     H = cons.random(7 + seed % 3, 0.4 + 0.15 * (seed % 3), seed)
-    a = _pykernels.tight_hamilton_cycle(H.n, _nbr(H))
-    b = compiled.tight_hamilton_cycle(H.n, _nbr(H))
+    a = _pykernels.tight_hamilton_cycle(H.n, H.nbr_flat())
+    b = compiled.tight_hamilton_cycle(H.n, H.nbr_flat())
     assert (a is None) == (b is None)
     if a is not None:
         assert verify_tight_cycle(H, a)
@@ -37,7 +22,7 @@ def test_hamilton_kernels_agree(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_ev_kernels_agree(seed):
     H = cons.random(6, 0.5, seed + 100)
-    off, la, lb = _links(H)
+    off, la, lb = H.link_lists()
     for p, q in ((1, 4), (1, 2), (3, 10)):
         a = _pykernels.ev_exact(H.n, off, la, lb, p, q)
         b = compiled.ev_exact(H.n, off, la, lb, p, q)
@@ -47,7 +32,7 @@ def test_ev_kernels_agree(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_vvv_kernels_agree(seed):
     H = cons.random(5, 0.5, seed + 200)
-    off, ia, ib = _links(H)
+    off, ia, ib = H.link_lists()
     for p, q in ((1, 4), (1, 2)):
         a = _pykernels.vvv_exact(H.n, off, ia, ib, p, q)
         b = compiled.vvv_exact(H.n, off, ia, ib, p, q)
@@ -58,8 +43,8 @@ def test_vvv_kernels_agree(seed):
 def test_ee_kernels_agree(seed):
     H = cons.random(4, 0.5, seed + 300)
     for p, q in ((1, 4), (1, 2)):
-        a = _pykernels.ee_exact(H.n, _nbr(H), p, q)
-        b = compiled.ee_exact(H.n, _nbr(H), p, q)
+        a = _pykernels.ee_exact(H.n, H.nbr_flat(), p, q)
+        b = compiled.ee_exact(H.n, H.nbr_flat(), p, q)
         assert a[0] == b[0]
         assert a[1] == b[1]
 

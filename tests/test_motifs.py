@@ -86,8 +86,7 @@ def test_cleaned_pairs_are_connectable(seed):
     H = cons.random(11, 0.5, seed)
     C = mt.clean(H, beta)
     cp = mt.connectable_pairs(H, beta)
-    for key in C._pair_nbr:
-        u, v = divmod(key, C.n)
+    for u, v, _ in C.pair_masks():
         assert (u, v) in cp and (v, u) in cp
 
 
