@@ -1,15 +1,21 @@
-"""Pure-Python implementations of the hot kernels.
+"""The exact kernels: the Hamilton subset DP and the ev / vvv / ee
+deviation minimisations.
 
-Same call signatures as the compiled module ``tightcycles._kernels``; selected
-at import time by :mod:`tightcycles.kernels` when the extension is missing or
-disabled.  The Hamilton kernel runs the subset DP on big-integer bitmaps (one
-bitmap per ordered end pair, one bit per visited set), which keeps the pure
-fallback usable up to n around 16-18.
+The Hamilton kernel runs the subset DP on big-integer bitmaps (one bitmap
+per ordered end pair, one bit per visited set), which keeps it usable up to
+n around 16-18.  The deviation kernels read the dense 0/1 edge tensor and
+sweep their subsets as integer numpy arrays; ev takes its subsets in blocks
+of ``BLOCK`` rows, which bounds its memory at any n.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from .errors import UncertifiedResult
+
 NAME = "pure"
+BLOCK = 256
 
 
 def _ctz(x: int) -> int:
@@ -94,168 +100,113 @@ def _extract(n, nbr, dp, b, u, v, mask):
                 mask = mask2
                 found = True
                 break
-        assert found, "DP extraction lost the predecessor chain"
+        if not found:
+            raise UncertifiedResult("DP extraction lost the predecessor chain")
     rev.reverse()
     return rev
 
 
-def ev_exact(
-    n: int,
-    link_off: list[int],
-    link_a: list[int],
-    link_b: list[int],
-    p: int,
-    q: int,
-) -> tuple[int, int]:
+def _wide(p: int, q: int, n: int):
+    """int64 while no scaled objective can reach 2^63, Python ints beyond
+    (a density given as a long decimal string has a large denominator)."""
+    return np.int64 if 2 * (p + q) * n**3 < 2**63 else object
+
+
+def _rows(codes: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 membership rows of the bitmasks ``codes`` over ``n`` vertices."""
+    return (codes[:, None] >> np.arange(n, dtype=np.int64)) & 1
+
+
+def ev_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int]:
     """Exact ev deviation numerator (denominator q) and the minimising X mask.
 
-    Gray-code walk over X keeping a histogram of pair counts |N(y,z) ∩ X|;
-    for fixed X the optimal P is the set of negative-margin pairs, so the
-    objective is 2 * sum over unordered pairs of min(0, c*q - p*|X|).
+    ``T`` is the 0/1 edge tensor of :meth:`Hypergraph3.edge_tensor`.  For
+    fixed X the optimal P is the set of negative-margin pairs, so the
+    objective is 2 * sum over unordered pairs of min(0, |N(y,z) ∩ X|*q - p*|X|).
+    X runs over Gray order in blocks of at most ``BLOCK`` rows, and the first
+    strict minimum in that order is kept.
     """
-    cnt = [0] * (n * n)
-    hist = [0] * max(n, 1)
-    if n >= 2:
-        hist[0] = n * (n - 1) // 2
+    n = len(T)
+    iu, ju = np.triu_indices(n, 1)
+    inc = T[:, iu, ju]  # inc[x, pair] = [x ∈ N(pair)]
+    dt = _wide(p, q, n)
     best = 0
     best_mask = 0
-    x = 0
-    k = 0
-    top = n - 2
-    for i in range(1, 1 << n):
-        v = _ctz(i)
-        if (x >> v) & 1:
-            delta = -1
-            x ^= 1 << v
-            k -= 1
-        else:
-            delta = 1
-            x |= 1 << v
-            k += 1
-        for j in range(link_off[v], link_off[v + 1]):
-            key = link_a[j] * n + link_b[j]
-            c = cnt[key]
-            hist[c] -= 1
-            c += delta
-            cnt[key] = c
-            hist[c] += 1
-        thr = p * k
-        s = 0
-        c = 0
-        while c <= top and c * q < thr:
-            if hist[c]:
-                s += hist[c] * (c * q - thr)
-            c += 1
-        s *= 2
-        if s < best:
-            best = s
-            best_mask = x
+    for lo in range(0, 1 << n, BLOCK):
+        i = np.arange(lo, min(lo + BLOCK, 1 << n), dtype=np.int64)
+        gray = i ^ (i >> 1)
+        X = _rows(gray, n)
+        k = X.sum(axis=1).astype(dt)
+        s = 2 * np.minimum(0, (X @ inc).astype(dt) * q - p * k[:, None]).sum(axis=1)
+        j = int(np.argmin(s))
+        if s[j] < best:
+            best = int(s[j])
+            best_mask = int(gray[j])
     return best, best_mask
 
 
-def vvv_exact(
-    n: int,
-    inc_off: list[int],
-    inc_a: list[int],
-    inc_b: list[int],
-    p: int,
-    q: int,
-) -> tuple[int, int, int]:
+def vvv_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int, int]:
     """Exact vvv deviation numerator and minimising (X, Y) masks.
 
-    Outer Gray walk over X, full inner walk over Y; for fixed (X, Y) the
-    optimal Z collects the vertices with negative margin.
+    Outer Gray walk over X keeping B[b, z] = #{a in X : abz an edge}; every Y
+    is scored at once as M = Y @ B, and for fixed (X, Y) the optimal Z
+    collects the vertices with negative margin.  The first strict minimum in
+    (X, Y) Gray order is kept.
     """
+    n = len(T)
+    j = np.arange(1 << n, dtype=np.int64)
+    ygray = j ^ (j >> 1)
+    Y = _rows(ygray, n)
+    dt = _wide(p, q, n)
+    ky = Y.sum(axis=1).astype(dt)
+    B = np.zeros((n, n), dtype=np.int64)
     best = 0
     bx = by = 0
-    margin = [0] * n
     x = 0
     kx = 0
-    for i in range(1 << n):
-        if i:
-            v = _ctz(i)
-            if (x >> v) & 1:
-                x ^= 1 << v
-                kx -= 1
-            else:
-                x |= 1 << v
-                kx += 1
-        for z in range(n):
-            margin[z] = 0
-        y = 0
-        ky = 0
-        for j in range(1, 1 << n):
-            w = _ctz(j)
-            if (y >> w) & 1:
-                d = -1
-                y ^= 1 << w
-                ky -= 1
-            else:
-                d = 1
-                y |= 1 << w
-                ky += 1
-            for t in range(inc_off[w], inc_off[w + 1]):
-                a = inc_a[t]
-                bb = inc_b[t]
-                if (x >> a) & 1:
-                    margin[bb] += d
-                if (x >> bb) & 1:
-                    margin[a] += d
-            thr = p * kx * ky
-            s = 0
-            for z in range(n):
-                mz = margin[z] * q - thr
-                if mz < 0:
-                    s += mz
-            if s < best:
-                best = s
-                bx = x
-                by = y
+    for i in range(1, 1 << n):  # X = {} scores 0 and never improves on it
+        v = _ctz(i)
+        sign = -1 if (x >> v) & 1 else 1
+        x ^= 1 << v
+        kx += sign
+        B += sign * T[v]
+        s = np.minimum(0, (Y @ B).astype(dt) * q - (p * kx) * ky[:, None]).sum(axis=1)
+        t = int(np.argmin(s))
+        if s[t] < best:
+            best = int(s[t])
+            bx = x
+            by = int(ygray[t])
     return best, bx, by
 
 
-def ee_exact(n: int, nbr: list[int], p: int, q: int) -> tuple[int, int]:
-    """Exact ee deviation numerator and the minimising P mask.
+def ee_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int]:
+    """Exact ee deviation numerator and a minimising P mask.
 
-    P ranges over ordered distinct pairs indexed x*(n-1)+adjusted; the mask
-    uses the pair order of :func:`ee_pair_list`.  For fixed P the optimal Q
-    collects ordered pairs (y,z) with negative margin; only triples of three
-    distinct vertices count.
+    The mask uses the pair order of :func:`ee_pair_list`.  For fixed P the
+    optimal Q collects ordered pairs (y, z) with negative margin, and the
+    terms with middle vertex y depend only on the section
+    S_y = {x : (x, y) in P}, so the minimum splits over y: each y takes the
+    first S ⊆ V∖{y} minimising sum over z != y of
+    min(0, q*|S ∩ N(y,z)| - p*|S∖{z}|).  Only triples of three distinct
+    vertices count.
     """
-    pairs = ee_pair_list(n)
-    kview = len(pairs)
-    acount = [0] * (n * n)
-    bcount = [0] * (n * n)
-    contrib = [0] * (n * n)
-    s = 0
-    best = 0
-    best_pmask = 0
+    n = len(T)
+    dt = _wide(p, q, n)
+    S = _rows(np.arange(1 << max(n - 1, 0), dtype=np.int64), n - 1)
+    size = S.sum(axis=1, keepdims=True)
+    total = 0
     pmask = 0
-    for i in range(1, 1 << kview):
-        pi = _ctz(i)
-        x, y = pairs[pi]
-        if (pmask >> pi) & 1:
-            d = -1
-            pmask ^= 1 << pi
-        else:
-            d = 1
-            pmask |= 1 << pi
-        mask = nbr[x * n + y]
-        for z in range(n):
-            if z == x or z == y:
-                continue
-            idx = y * n + z
-            s -= contrib[idx]
-            acount[idx] += d * ((mask >> z) & 1)
-            bcount[idx] += d
-            val = acount[idx] * q - p * bcount[idx]
-            c = val if val < 0 else 0
-            contrib[idx] = c
-            s += c
-        if s < best:
-            best = s
-            best_pmask = pmask
-    return best, best_pmask
+    for y in range(n):
+        others = [x for x in range(n) if x != y]
+        a = S @ T[y][np.ix_(others, others)]  # |S ∩ N(y, z)|
+        f = np.minimum(0, a.astype(dt) * q - p * (size - S).astype(dt)).sum(axis=1)
+        t = int(np.argmin(f))
+        total += int(f[t])
+        for w in range(n - 1):
+            if (t >> w) & 1:
+                x = others[w]
+                pmask |= 1 << (x * (n - 1) + (y if y < x else y - 1))
+    return total, pmask
 
 
 def ee_pair_list(n: int) -> list[tuple[int, int]]:

@@ -3,8 +3,9 @@ assembly pipeline and the exact oracle, with human tables or machine JSON.
 
 Exit codes: 0 verified success, 1 legitimate absence (searched, not found),
 2 usage error, including a file that cannot be read or written, 3 budget or
-precondition violation.  Codes 2 and 3 raised by a running command carry a
-JSON diagnostic on stderr.
+precondition violation, 4 internal error, including a result that failed its
+re-verification (``UncertifiedResult``).  Codes 2, 3 and 4 raised by a running
+command carry a JSON diagnostic on stderr; code 4 adds the traceback.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from typing import Optional
 
 from . import constructions, density, hamilton, kernels, motifs, oracle
-from .errors import BudgetError
+from .errors import BudgetError, UncertifiedResult
 from .hypercore import (
     Hypergraph3,
     PairSet,
@@ -164,11 +166,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     t0 = time.time()
     try:
         code, payload = _dispatch(args)
-    except (OSError, BudgetError, ValueError) as exc:
+    except Exception as exc:  # every failure leaves with its documented code
         diag = {"schema_version": SCHEMA_VERSION, "error": type(exc).__name__,
                 "message": str(exc)}
+        if isinstance(exc, OSError):
+            code = 2
+        elif isinstance(exc, (BudgetError, ValueError)):
+            code = 3
+        else:
+            code = 4
+            diag["traceback"] = traceback.format_exc()
         print(json.dumps(diag, sort_keys=True), file=sys.stderr)
-        return 2 if isinstance(exc, OSError) else 3
+        return code
     _emit(args, payload, {"total": time.time() - t0})
     return code
 
@@ -301,7 +310,8 @@ def _dispatch_oracle(args) -> tuple[int, dict]:
         if args.extract:
             cycle = oracle.extract_tight_hamilton(H)
             if cycle is not None:
-                assert verify_tight_cycle(H, cycle.vertices)
+                if not verify_tight_cycle(H, cycle.vertices):
+                    raise UncertifiedResult("oracle cycle failed re-verification")
                 return 0, {"instance": meta, "hamiltonian": True,
                            "cycle": list(cycle.vertices)}
             return 1, {"instance": meta, "hamiltonian": False, "cycle": None}

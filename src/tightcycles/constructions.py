@@ -8,7 +8,6 @@ from numpy's PCG64 so fixtures are reproducible across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -92,11 +91,17 @@ def empty(n: int) -> Hypergraph3:
     return from_triple_array(n, np.zeros((0, 3), dtype=np.int64))
 
 
+def _triples(n: int) -> np.ndarray:
+    """All C(n, 3) triples a < b < c as rows, in lexicographic order."""
+    i = np.arange(n)
+    lt = i[:, None] < i[None, :]
+    return np.argwhere(lt[:, :, None] & lt[None, :, :]).astype(np.int64, copy=False)
+
+
 def complete(n: int) -> Hypergraph3:
     if n < 3:
         return empty(n)
-    arr = np.array(list(combinations(range(n), 3)), dtype=np.int64)
-    return from_triple_array(n, arr)
+    return from_triple_array(n, _triples(n))
 
 
 def tight_cycle(n: int) -> Hypergraph3:
@@ -114,7 +119,7 @@ def random(n: int, p: float, seed: int) -> Hypergraph3:
         raise ValueError("p must lie in [0, 1]")
     if n < 3:
         return empty(n)
-    arr = np.array(list(combinations(range(n), 3)), dtype=np.int64)
+    arr = _triples(n)
     keep = _rng(seed).random(len(arr)) < p
     return from_triple_array(n, arr[keep])
 

@@ -2,9 +2,9 @@
 
 Each deviation reports the worst signed slack ``raw`` found over the notion's
 test families, the witness realising it, and ``rho_hat = max(0, -raw)/n^3``.
-Exact modes enumerate by Gray-code walks (compiled kernel when available) and
-are only allowed below fixed budgets; heuristic and sampled modes are
-restricted searches whose witnesses are recounted exactly, so a reported
+Exact modes enumerate by Gray-code walks (ee by a split over the middle
+vertex) and are only allowed below fixed budgets; heuristic and sampled modes
+are restricted searches whose witnesses are recounted exactly, so a reported
 violation is always genuine.
 
 The target density d is handled as a rational p/q throughout (floats are
@@ -45,7 +45,7 @@ __all__ = [
 
 EV_EXACT_MAX_N = 24
 VVV_EXACT_MAX_N = 11
-EE_EXACT_MAX_N = 5
+EE_EXACT_MAX_N = 12
 
 _MODES = ("exact", "heuristic", "sampled")
 
@@ -130,14 +130,24 @@ def ev_value(H: Hypergraph3, d, X: Iterable[int], P: Iterable[tuple[int, int]]) 
 
 
 def vvv_value(H, d, X, Y, Z) -> Fraction:
+    """e(X, Y, Z) - d |X| |Y| |Z|, counting ordered (x, y) per z."""
     d = as_density_fraction(d)
     xm, ym = mask_of(X), mask_of(Y)
     zs = set(Z)
-    e = 0
-    for z in zs:
-        for a, b in H.link_pairs(z).tolist():
-            e += ((xm >> a) & 1) * ((ym >> b) & 1) + ((xm >> b) & 1) * ((ym >> a) & 1)
+    if any(not 0 <= z < H.n for z in zs):
+        raise ValueError(f"Z has a vertex outside 0..{H.n - 1}")
+    off, pairs = H.link_index()
+    zb = np.zeros(H.n, dtype=bool)
+    zb[list(zs)] = True
+    a, b = pairs[np.repeat(zb, np.diff(off))].T
+    xb, yb = _bools(xm, H.n), _bools(ym, H.n)
+    e = int(np.count_nonzero(xb[a] & yb[b]) + np.count_nonzero(xb[b] & yb[a]))
     return e - d * xm.bit_count() * ym.bit_count() * len(zs)
+
+
+def _bools(mask: int, n: int) -> np.ndarray:
+    """Membership of 0..n-1 in a vertex bitmask."""
+    return np.array([(mask >> v) & 1 for v in range(n)], dtype=bool)
 
 
 def ee_value(H, d, P: Iterable[tuple[int, int]], Q: Iterable[tuple[int, int]]) -> Fraction:
@@ -213,7 +223,7 @@ def ev_deviation(
             raise BudgetError(
                 f"ev exact exceeds exact budget (n={H.n} > {EV_EXACT_MAX_N})"
             )
-        _, xmask = kernels.backend().ev_exact(H.n, *H.link_lists(), p, q)
+        _, xmask = kernels.backend().ev_exact(H.edge_tensor(), p, q)
         xs, P = _ev_witness_from_mask(H, p, q, int(xmask))
         raw = ev_value(H, dfrac, xs, P)
         return _report("ev", H, mode, dfrac, raw, {"X": xs, "P": P}, True)
@@ -337,7 +347,7 @@ def vvv_deviation(
             raise BudgetError(
                 f"vvv exact exceeds exact budget (n={H.n} > {VVV_EXACT_MAX_N})"
             )
-        _, xm, ym = kernels.backend().vvv_exact(H.n, *H.link_lists(), p, q)
+        _, xm, ym = kernels.backend().vvv_exact(H.edge_tensor(), p, q)
         xs, ys, zs = _vvv_witness(H, p, q, int(xm), int(ym))
         raw = vvv_value(H, dfrac, xs, ys, zs)
         return _report("vvv", H, mode, dfrac, raw, {"X": xs, "Y": ys, "Z": zs}, True)
@@ -354,9 +364,7 @@ def vvv_deviation(
 
 def _vvv_witness(H, p, q, xmask, ymask):
     n = H.n
-    xb = np.array([(xmask >> v) & 1 for v in range(n)], dtype=bool)
-    yb = np.array([(ymask >> v) & 1 for v in range(n)], dtype=bool)
-    m = _vvv_margins(H, xb, yb)
+    m = _vvv_margins(H, _bools(xmask, n), _bools(ymask, n))
     kx, ky = xmask.bit_count(), ymask.bit_count()
     zs = [z for z in range(n) if m[z] * q < p * kx * ky]
     return sorted(bits(xmask)), sorted(bits(ymask)), zs
@@ -418,7 +426,8 @@ def ee_deviation(
 ) -> DeviationReport:
     """Deviation over two ordered pair collections sharing a middle vertex.
 
-    exact: Gray-code enumeration of P with per-pair optimal Q (n <= 5).
+    exact: per middle vertex y, enumeration of the sections
+    S_y = {x : (x, y) in P} with per-pair optimal Q (n <= 12).
     heuristic/sampled: alternating minimisation (fix P, optimise Q; swap).
     Only triples of three distinct vertices contribute.
     """
@@ -431,7 +440,7 @@ def ee_deviation(
             raise BudgetError(
                 f"ee exact exceeds exact budget (n={H.n} > {EE_EXACT_MAX_N})"
             )
-        _, pmask = kernels.backend().ee_exact(H.n, H.nbr_flat(), p, q)
+        _, pmask = kernels.backend().ee_exact(H.edge_tensor(), p, q)
         pairs = ee_pair_list(H.n)
         P = [pairs[i] for i in bits(int(pmask))]
         Q = _ee_best_q(H, p, q, P)

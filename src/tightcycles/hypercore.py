@@ -8,6 +8,7 @@ search code can run on plain set algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -134,7 +135,7 @@ class Hypergraph3:
 
     def nbr_flat(self) -> list[int]:
         """N(u, v) at position u*n+v for every ordered pair, 0 on the
-        diagonal: the kernels' neighbourhood input."""
+        diagonal: the Hamilton DP's neighbourhood input."""
         n = self.n
         flat = [0] * (n * n)
         for u, v, mask in self.pair_masks():
@@ -165,10 +166,15 @@ class Hypergraph3:
         off, pairs = self.link_index()
         return pairs[off[v] : off[v + 1]]
 
-    def link_lists(self) -> tuple[list[int], list[int], list[int]]:
-        """The link index as the kernels' ``(off, a, b)`` lists."""
-        off, pairs = self.link_index()
-        return off.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist()
+    def edge_tensor(self) -> np.ndarray:
+        """The dense n x n x n int64 tensor T with T[a, b, c] = 1 iff {a, b, c}
+        is an edge: the exact deviation kernels' input.  Built on each call
+        and not cached; it is meant for the exact budgets (n <= 24)."""
+        T = np.zeros((self.n,) * 3, dtype=np.int64)
+        t = self.triples
+        for i, j, k in permutations(range(3)):
+            T[t[:, i], t[:, j], t[:, k]] = 1
+        return T
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1

@@ -1,23 +1,14 @@
-"""Kernel backend selection: compiled Cython extension when built, pure
-Python otherwise.  Set ``TIGHTCYCLES_PURE=1`` to force the fallback."""
+"""The exact kernels' module.  :mod:`tightcycles.density` and
+:mod:`tightcycles.oracle` look it up through :func:`backend` on every call,
+so a wrapper set on one of its functions (``perfbench``'s tracer sets them)
+sees each call."""
 
 from __future__ import annotations
 
-import os
-
 from . import _pykernels
-
-try:  # the extension is optional; everything works without it, just slower
-    from . import _kernels as _compiled
-except ImportError:  # pragma: no cover
-    _compiled = None
-
-HAS_COMPILED = _compiled is not None
 
 
 def backend():
-    if _compiled is not None and os.environ.get("TIGHTCYCLES_PURE") != "1":
-        return _compiled
     return _pykernels
 
 

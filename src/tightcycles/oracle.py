@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernels
 from .density import as_density_fraction
-from .errors import BudgetError
+from .errors import BudgetError, UncertifiedResult
 from .hypercore import Hypergraph3, TightPath, bits, verify_tight_cycle
 
 __all__ = [
@@ -66,7 +66,8 @@ def extract_tight_hamilton(
     seq = _dp_cycle(H, limits)
     if seq is None:
         return None
-    assert verify_tight_cycle(H, seq), "DP produced an uncertified cycle"
+    if not verify_tight_cycle(H, seq):
+        raise UncertifiedResult("DP produced an uncertified cycle")
     return TightPath(tuple(seq), is_cycle=True)
 
 

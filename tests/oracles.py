@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from tightcycles._pykernels import _ctz, ee_pair_list
 from tightcycles.density import as_density_fraction
 from tightcycles.hypercore import bits, mask_of, verify_tight_path
 from tightcycles.motifs import blowup_path_ordering
@@ -39,6 +40,190 @@ def link_pairs_reference(H) -> dict:
         cache[b].append((a, c))
         cache[c].append((a, b))
     return {v: np.array(ps, dtype=np.int64).reshape(-1, 2) for v, ps in cache.items()}
+
+
+def link_index_lists(H) -> tuple[list[int], list[int], list[int]]:
+    """The link index as the Gray-walk references' ``(off, a, b)`` lists."""
+    off, pairs = H.link_index()
+    return off.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist()
+
+
+# -- the former exact kernels ------------------------------------------------------
+#
+# The Gray-code walks the exact ev / vvv / ee modes ran before the numpy
+# sweeps: ev and vvv must return the same value and witness masks, ee the
+# same value.
+
+
+def gray_ev_exact(
+    n: int,
+    link_off: list[int],
+    link_a: list[int],
+    link_b: list[int],
+    p: int,
+    q: int,
+) -> tuple[int, int]:
+    """Exact ev deviation numerator (denominator q) and the minimising X mask.
+
+    Gray-code walk over X keeping a histogram of pair counts |N(y,z) ∩ X|;
+    for fixed X the optimal P is the set of negative-margin pairs, so the
+    objective is 2 * sum over unordered pairs of min(0, c*q - p*|X|).
+    """
+    cnt = [0] * (n * n)
+    hist = [0] * max(n, 1)
+    if n >= 2:
+        hist[0] = n * (n - 1) // 2
+    best = 0
+    best_mask = 0
+    x = 0
+    k = 0
+    top = n - 2
+    for i in range(1, 1 << n):
+        v = _ctz(i)
+        if (x >> v) & 1:
+            delta = -1
+            x ^= 1 << v
+            k -= 1
+        else:
+            delta = 1
+            x |= 1 << v
+            k += 1
+        for j in range(link_off[v], link_off[v + 1]):
+            key = link_a[j] * n + link_b[j]
+            c = cnt[key]
+            hist[c] -= 1
+            c += delta
+            cnt[key] = c
+            hist[c] += 1
+        thr = p * k
+        s = 0
+        c = 0
+        while c <= top and c * q < thr:
+            if hist[c]:
+                s += hist[c] * (c * q - thr)
+            c += 1
+        s *= 2
+        if s < best:
+            best = s
+            best_mask = x
+    return best, best_mask
+
+
+def gray_vvv_exact(
+    n: int,
+    inc_off: list[int],
+    inc_a: list[int],
+    inc_b: list[int],
+    p: int,
+    q: int,
+) -> tuple[int, int, int]:
+    """Exact vvv deviation numerator and minimising (X, Y) masks.
+
+    Outer Gray walk over X, full inner walk over Y; for fixed (X, Y) the
+    optimal Z collects the vertices with negative margin.
+    """
+    best = 0
+    bx = by = 0
+    margin = [0] * n
+    x = 0
+    kx = 0
+    for i in range(1 << n):
+        if i:
+            v = _ctz(i)
+            if (x >> v) & 1:
+                x ^= 1 << v
+                kx -= 1
+            else:
+                x |= 1 << v
+                kx += 1
+        for z in range(n):
+            margin[z] = 0
+        y = 0
+        ky = 0
+        for j in range(1, 1 << n):
+            w = _ctz(j)
+            if (y >> w) & 1:
+                d = -1
+                y ^= 1 << w
+                ky -= 1
+            else:
+                d = 1
+                y |= 1 << w
+                ky += 1
+            for t in range(inc_off[w], inc_off[w + 1]):
+                a = inc_a[t]
+                bb = inc_b[t]
+                if (x >> a) & 1:
+                    margin[bb] += d
+                if (x >> bb) & 1:
+                    margin[a] += d
+            thr = p * kx * ky
+            s = 0
+            for z in range(n):
+                mz = margin[z] * q - thr
+                if mz < 0:
+                    s += mz
+            if s < best:
+                best = s
+                bx = x
+                by = y
+    return best, bx, by
+
+
+def gray_ee_exact(n: int, nbr: list[int], p: int, q: int) -> tuple[int, int]:
+    """Exact ee deviation numerator and the minimising P mask.
+
+    P ranges over ordered distinct pairs indexed x*(n-1)+adjusted; the mask
+    uses the pair order of :func:`ee_pair_list`.  For fixed P the optimal Q
+    collects ordered pairs (y,z) with negative margin; only triples of three
+    distinct vertices count.
+    """
+    pairs = ee_pair_list(n)
+    kview = len(pairs)
+    acount = [0] * (n * n)
+    bcount = [0] * (n * n)
+    contrib = [0] * (n * n)
+    s = 0
+    best = 0
+    best_pmask = 0
+    pmask = 0
+    for i in range(1, 1 << kview):
+        pi = _ctz(i)
+        x, y = pairs[pi]
+        if (pmask >> pi) & 1:
+            d = -1
+            pmask ^= 1 << pi
+        else:
+            d = 1
+            pmask |= 1 << pi
+        mask = nbr[x * n + y]
+        for z in range(n):
+            if z == x or z == y:
+                continue
+            idx = y * n + z
+            s -= contrib[idx]
+            acount[idx] += d * ((mask >> z) & 1)
+            bcount[idx] += d
+            val = acount[idx] * q - p * bcount[idx]
+            c = val if val < 0 else 0
+            contrib[idx] = c
+            s += c
+        if s < best:
+            best = s
+            best_pmask = pmask
+    return best, best_pmask
+
+
+def vvv_value_reference(H, d, X, Y, Z) -> Fraction:
+    """The former e(X, Y, Z) recount: a loop over the link of every z in Z."""
+    d = as_density_fraction(d)
+    xm, ym = mask_of(X), mask_of(Y)
+    zs = set(Z)
+    e = 0
+    for z in zs:
+        for a, b in H.link_pairs(z).tolist():
+            e += ((xm >> a) & 1) * ((ym >> b) & 1) + ((xm >> b) & 1) * ((ym >> a) & 1)
+    return e - d * xm.bit_count() * ym.bit_count() * len(zs)
 
 
 def brute_vvv_raw(H, d) -> Fraction:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tightcycles import cli
-from tightcycles.hypercore import read_h3
+from tightcycles.hypercore import TightPath, read_h3
 
 
 def run(capsys, *argv):
@@ -189,6 +189,38 @@ def test_missing_file_is_exit_2(tmp_path, capsys):
     diag = json.loads(err)
     assert diag["error"] == "FileNotFoundError"
     assert str(missing) in diag["message"]
+
+
+def test_internal_error_is_exit_4(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "k6.h3"
+    run(capsys, "gen", "--family", "complete", "--n", "6", "-o", str(out))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel blew up")
+
+    monkeypatch.setattr(cli.density, "ev_deviation", broken)
+    code, stdout, err = run(
+        capsys, "density", "--notion", "ev", "--d", "1/4", "--mode", "exact", str(out)
+    )
+    assert code == 4
+    assert stdout == ""
+    diag = json.loads(err)
+    assert diag["error"] == "RuntimeError"
+    assert diag["message"] == "kernel blew up"
+    assert "broken" in diag["traceback"]
+
+
+def test_uncertified_result_is_exit_4(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "c8.h3"
+    run(capsys, "gen", "--family", "tight_cycle", "--n", "8", "-o", str(out))
+    monkeypatch.setattr(
+        cli.oracle, "extract_tight_hamilton",
+        lambda H: TightPath((0, 2, 1, 3, 4, 5, 6, 7), is_cycle=True),
+    )
+    code, stdout, err = run(capsys, "oracle", "hamilton", "--extract", str(out))
+    assert code == 4
+    assert stdout == ""
+    assert json.loads(err)["error"] == "UncertifiedResult"
 
 
 def test_gen_deterministic_bytes(tmp_path, capsys):

@@ -1,7 +1,10 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from tightcycles import constructions as cons
-from tightcycles.hypercore import codegree, verify_tight_path
+from tightcycles.hypercore import codegree, from_triple_array, verify_tight_path
 
 
 def test_generators_deterministic():
@@ -18,6 +21,25 @@ def test_generators_deterministic():
 def test_random_extremes():
     assert cons.random(6, 1.0, 0) == cons.complete(6)
     assert cons.random(6, 0.0, 0).m == 0
+
+
+@pytest.mark.parametrize("n", list(range(13)) + [60])
+def test_triples_match_combinations(n):
+    want = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
+    got = cons._triples(n)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_random_hosts_unchanged_by_triple_enumeration():
+    """The same triples in the same order, so the same draws keep each edge."""
+    for n in (3, 4, 7, 12, 25):
+        for p in (0.0, 0.3, 0.85, 1.0):
+            for seed in (0, 7, 123):
+                arr = np.array(list(combinations(range(n), 3)), dtype=np.int64)
+                keep = np.random.Generator(np.random.PCG64(seed)).random(len(arr)) < p
+                want = from_triple_array(n, arr[keep])
+                assert np.array_equal(cons.random(n, p, seed).triples, want.triples)
 
 
 def test_example1_apex_codegree():

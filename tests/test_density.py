@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_ee_raw, brute_ev_raw, brute_vvv_raw
+from oracles import brute_ee_raw, brute_ev_raw, brute_vvv_raw, vvv_value_reference
 from tightcycles import constructions as cons
 from tightcycles import density as dn
 from tightcycles.errors import BudgetError
@@ -113,6 +113,23 @@ def test_vvv_exact_matches_bruteforce(seed):
         assert frac(dn.vvv_deviation(H, d, "exact")) == brute_vvv_raw(H, d)
 
 
+@pytest.mark.parametrize(
+    "H", [cons.example1(30, 2), cons.random(17, 0.4, 3), cons.complete(9), cons.empty(7)]
+)
+def test_vvv_value_matches_link_loop(H):
+    """Random witnesses, with repeated vertices in X, Y and Z."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(H.n))
+    d = Fraction(3, 10)
+    for _ in range(12):
+        X, Y, Z = (rng.integers(H.n, size=rng.integers(0, H.n + 4)).tolist() for _ in range(3))
+        assert dn.vvv_value(H, d, X, Y, Z) == vvv_value_reference(H, d, X, Y, Z)
+    for bad in (-1, H.n):
+        with pytest.raises(ValueError):
+            dn.vvv_value(H, d, [0], [1], [bad])
+
+
 def test_vvv_heuristic_bounded_by_exact():
     H = cons.random(10, 0.5, 123)
     ex = frac(dn.vvv_deviation(H, Fraction(1, 2), "exact"))
@@ -149,7 +166,7 @@ def test_ee_exact_matches_bruteforce(seed):
 
 def test_ee_budget_error():
     with pytest.raises(BudgetError):
-        dn.ee_deviation(cons.empty(6), 0.5, "exact")
+        dn.ee_deviation(cons.empty(13), 0.5, "exact")
 
 
 def test_ee_biased_construction_strongly_negative():

@@ -252,16 +252,12 @@ def test_index_matches_former_builders(H):
             assert np.array_equal(G.triples, H.triples)
             assert G == H and hash(G) == hash(H)
     links = link_pairs_reference(H)
-    off, la, lb = H.link_lists()
-    assert off[0] == 0 and len(off) == H.n + 1
     for v in range(H.n):
         got = H.link_pairs(v)
         assert got.dtype == np.int64 and got.shape == links[v].shape
         assert np.array_equal(got, links[v])  # row for row, in edge order
         assert not got.flags.writeable
         assert degree(H, v) == len(got)
-        assert la[off[v] : off[v + 1]] == links[v][:, 0].tolist()
-        assert lb[off[v] : off[v + 1]] == links[v][:, 1].tolist()
     for v in (-1, -2, H.n):
         with pytest.raises(ValueError):
             H.link_pairs(v)
@@ -271,16 +267,21 @@ def test_index_matches_former_builders(H):
 def test_has_edge_and_masks_match_raw_rows(H):
     n = H.n
     edges = {tuple(sorted(row)) for row in H.triples.tolist()}
+    T = H.edge_tensor()
+    assert T.dtype == np.int64 and T.shape == (n, n, n)
     vertices = range(-2, n + 2)
     for a in vertices:
         for b in vertices:
             for c in vertices:
+                in_range = all(0 <= x < n for x in (a, b, c))
                 want = (
                     len({a, b, c}) == 3
-                    and all(0 <= x < n for x in (a, b, c))
+                    and in_range
                     and tuple(sorted((a, b, c))) in edges
                 )
                 assert H.has_edge(a, b, c) == want, (a, b, c)
+                if in_range:
+                    assert T[a, b, c] == want, (a, b, c)
     for a, b, c in list(edges)[:20]:
         assert H.has_edge(np.int64(c), np.int64(a), np.int64(b))
     flat = H.nbr_flat()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,3 +111,47 @@ def test_count_paths_matches_connect_on_dense():
 def test_count_paths_rejects_overlapping_endpoints():
     with pytest.raises(ValueError):
         orc.count_paths_between(cons.complete(6), (0, 1), (1, 2), 1)
+
+
+_UNDER_O = """
+import json
+from tightcycles import _pykernels, cli, constructions, kernels, oracle
+from tightcycles.errors import UncertifiedResult
+from tightcycles.hypercore import TightPath, write_h3
+
+assert False  # stripped under -O, so the checks below run without asserts
+
+H = constructions.tight_cycle(8)
+# {1, 3, 4} is not an edge, so this order is not a tight cycle
+kernels.backend().tight_hamilton_cycle = lambda n, nbr: [0, 2, 1, 3, 4, 5, 6, 7]
+try:
+    oracle.extract_tight_hamilton(H)
+    raise SystemExit("extract_tight_hamilton returned an uncertified cycle")
+except UncertifiedResult:
+    pass
+
+# a DP table without the predecessor chain must not loop forever
+try:
+    _pykernels._extract(8, H.nbr_flat(), {}, 1, 6, 7, (1 << 8) - 1)
+    raise SystemExit("_extract returned without a chain")
+except UncertifiedResult:
+    pass
+
+write_h3(H, "c8.h3")
+oracle.extract_tight_hamilton = lambda H: TightPath((0, 2, 1, 3, 4, 5, 6, 7), True)
+code = cli.main(["oracle", "hamilton", "--extract", "c8.h3"])
+print(json.dumps({"code": code}))
+"""
+
+
+def test_certification_survives_python_O(tmp_path):
+    """Under -O, which strips asserts, every exact-path check still raises."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.strip().splitlines()[-1] == '{"code": 4}'
+    assert '"error": "UncertifiedResult"' in out.stderr
