@@ -25,7 +25,6 @@ from .hypercore import (
     PairSet,
     read_h3,
     verify_tight_cycle,
-    verify_tight_path,
     write_h3,
 )
 
@@ -125,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     hc_.add_argument("--from", dest="frm", type=_parse_pair, required=True)
     hc_.add_argument("--to", dest="to", type=_parse_pair, required=True)
     hc_.add_argument("--allowed", type=_parse_ints, default=None)
-    hc_.add_argument("--max-inner", type=int, default=15)
+    hc_.add_argument("--max-inner", type=int, default=hamilton.MAX_INNER)
     hc_.add_argument("--lengths", type=_parse_ints, default=None)
     hc_.add_argument("--budget", type=int, default=30000)
     hc_.add_argument("--seed", type=int, default=None)
@@ -271,7 +270,6 @@ def _dispatch_hamilton(args) -> tuple[int, dict]:
         )
         cycle, trace = hamilton.find_tight_hamilton(H, params)
         if cycle is not None:
-            assert verify_tight_cycle(H, cycle.vertices)
             return 0, {"instance": meta, "cycle": list(cycle.vertices),
                        "trace": trace}
         return 1, {"instance": meta, "cycle": None, "trace": trace}
@@ -284,7 +282,6 @@ def _dispatch_hamilton(args) -> tuple[int, dict]:
             stats=stats,
         )
         if path is not None:
-            assert verify_tight_path(H, path.vertices)
             return 0, {"instance": meta, "path": list(path.vertices),
                        "stats": stats}
         return 1, {"instance": meta, "path": None, "stats": stats}
@@ -292,8 +289,6 @@ def _dispatch_hamilton(args) -> tuple[int, dict]:
         paths, uncovered = hamilton.almost_cover(
             H, args.beta, args.gamma, seed=args.seed
         )
-        for p in paths:
-            assert verify_tight_path(H, p.vertices)
         shortfall = len(uncovered) > args.gamma * args.gamma * H.n
         return 0, {
             "instance": meta,

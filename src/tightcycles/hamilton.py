@@ -1,9 +1,12 @@
-"""The absorption pipeline: bounded pair-to-pair connection, greedy almost
-cover, absorbers, the absorbing path, and tight-Hamilton-cycle assembly.
+"""The absorption pipeline: bounded pair-to-pair connection (also behind the
+turnable-pair check), greedy almost cover, absorbers, the absorbing path, and
+tight-Hamilton-cycle assembly.
 
 Soundness is unconditional: every path or cycle any function returns has been
-re-verified against the host hypergraph.  Completeness is heuristic; absence
-is a normal outcome carrying per-stage diagnostics in the trace.
+re-verified against the host hypergraph, and a result that fails that check
+raises ``UncertifiedResult`` under any interpreter flag, ``python -O``
+included.  Completeness is heuristic; absence is a normal outcome carrying
+per-stage diagnostics in the trace.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .errors import UncertifiedResult
 from .hypercore import (
     Hypergraph3,
     TightPath,
@@ -36,8 +40,10 @@ from .motifs import (
 __all__ = [
     "Absorber",
     "AbsorbingPath",
+    "MAX_INNER",
     "PipelineParams",
     "connect",
+    "turnable_check",
     "almost_cover",
     "find_absorber",
     "is_absorber",
@@ -49,43 +55,35 @@ __all__ = [
 
 # -- parameters ----------------------------------------------------------------
 
+MAX_INNER = 15  # inner vertices a connection may use
+GADGET_BUDGET = 60000  # nodes per blow-up seed; see find_c8_blowup
+K333_TRIES = 400  # core seeds per absorber attempt; see find_k333
+
 
 @dataclass
 class PipelineParams:
-    """Tunable thresholds and budgets for the assembly pipeline.
+    """What a caller sets for the assembly pipeline.
 
-    The defaults are engineering choices for dense instances at desk scale;
-    the reservoir fraction defaults to gamma^2 with a small-n floor so that
+    The search budgets are the module constants above and the stage
+    functions' defaults, engineering choices for dense instances at desk
+    scale; the reservoir fraction is gamma^2 with a small-n floor so that
     connections are not starved on hosts with a few dozen vertices.
     """
 
     beta: float = 0.05
     gamma: float = 0.15
-    reservoir_fraction: Optional[float] = None
-    max_inner: int = 15
     retries: int = 5
     seed: int = 0
     mode: str = "ev"
-    absorber_multiplier: int = 2
-    absorber_count: Optional[int] = None
-    min_eligibility: int = 3
-    connect_budget: int = 30000
-    absorber_tries: int = 40
-    gadget_budget: int = 60000  # nodes per blow-up seed; see find_c8_blowup
     use_gadget: Optional[bool] = None
-    cover_attempts: int = 12
 
     def __post_init__(self):
         if not 0 < self.beta < 1 or not 0 < self.gamma < 1:
             raise ValueError("beta and gamma must lie in (0, 1)")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be >= 1")
         if self.mode not in ("ev", "ee"):
             raise ValueError("mode must be 'ev' or 'ee'")
 
     def resolved_reservoir(self, n: int) -> float:
-        if self.reservoir_fraction is not None:
-            return self.reservoir_fraction
         target = self.gamma * self.gamma * n
         if target < 6.0:
             target = min(6.0, 0.2 * n)
@@ -101,7 +99,7 @@ def connect(
     from_pair: tuple[int, int],
     to_pair: tuple[int, int],
     allowed: Iterable[int],
-    max_inner: int = 15,
+    max_inner: int = MAX_INNER,
     budget: int = 30000,
     seed: int = 0,
     lengths: Optional[Sequence[int]] = None,
@@ -112,8 +110,9 @@ def connect(
 
     Bidirectional meet-in-the-middle: forward partial paths and backward
     partial suffixes are grown level by level and joined on a compatible
-    middle pair.  Sound (result verified) but incomplete: None within budget
-    does not certify absence.  ``lengths`` restricts the inner-vertex counts
+    middle pair.  Sound (a result that fails re-verification raises
+    ``UncertifiedResult``) but incomplete: None within budget does not
+    certify absence.  ``lengths`` restricts the inner-vertex counts
     tried (default 1..max_inner, ascending).
     """
     x, y = from_pair
@@ -196,7 +195,8 @@ def connect(
         if len(fwd) - 1 >= f and len(bwd) - 1 >= b:
             seq = join(fwd[f], bwd[b])
             if seq is not None:
-                assert verify_tight_path(H, seq)
+                if not verify_tight_path(H, seq):
+                    raise UncertifiedResult("connect produced an uncertified path")
                 if stats is not None:
                     stats.update({"expansions": expansions, "inner": l})
                 return TightPath(tuple(seq))
@@ -205,6 +205,28 @@ def connect(
     if stats is not None:
         stats.update({"expansions": expansions, "inner": None})
     return None
+
+
+def turnable_check(
+    H: Hypergraph3,
+    q: tuple[int, int],
+    q_prime: tuple[int, int],
+    max_inner: int = 3,
+    budget: int = 20000,
+) -> dict:
+    """For each of the four orientation combinations of two disjoint unordered
+    pairs, a tight connecting path found by ``connect`` (1..max_inner inner
+    vertices) as a vertex list, or None."""
+    qa = tuple(q)
+    qb = tuple(q_prime)
+    if set(qa) & set(qb):
+        raise ValueError("pairs must be disjoint")
+    table = {}
+    for start in (qa, (qa[1], qa[0])):
+        for end in (qb, (qb[1], qb[0])):
+            path = connect(H, start, end, range(H.n), max_inner=max_inner, budget=budget)
+            table[(start, end)] = None if path is None else list(path.vertices)
+    return table
 
 
 # -- almost cover -----------------------------------------------------------------
@@ -239,7 +261,8 @@ def almost_cover(
         seq = _grow_path(H, masks, min_len, rng, attempts)
         if seq is None:
             break
-        assert verify_tight_path(H, seq)
+        if not verify_tight_path(H, seq):
+            raise UncertifiedResult("almost cover produced an uncertified path")
         paths.append(TightPath(tuple(seq)))
         uncovered &= ~mask_of(seq)
     return paths, set(bits(uncovered))
@@ -478,22 +501,17 @@ def build_absorbing_path(
         # the gadget only pays off with three or more absorbers beside it
         want_gadget = free >= 104
     reserve = 32 if want_gadget else 0
-    if params.absorber_count is not None:
-        t_target = params.absorber_count
-    else:
-        t_target = params.absorber_multiplier * ceil(
-            params.gamma * params.gamma * n
-        )
-        t_target = max(1, min(t_target, (free - reserve - 3) // 22))
+    t_target = 2 * ceil(params.gamma * params.gamma * n)
+    t_target = max(1, min(t_target, (free - reserve - 3) // 22))
     absorbers: list[Absorber] = []
     forbidden = rmask
     while len(absorbers) < t_target:
         A = find_absorber(
             H,
             forbidden=bits(forbidden),
-            min_eligibility=params.min_eligibility,
+            min_eligibility=3,
             seed=int(rng.integers(2**31)),
-            k333_tries=params.absorber_tries * 10,
+            k333_tries=K333_TRIES,
         )
         if A is None:
             break
@@ -508,7 +526,7 @@ def build_absorbing_path(
     if want_gadget and n - forbidden.bit_count() >= 32:
         gadget_classes = find_c8_blowup(
             H,
-            budget=params.gadget_budget,
+            budget=GADGET_BUDGET,
             seed=int(rng.integers(2**31)),
             avoid=bits(forbidden),
         )
@@ -528,6 +546,7 @@ def build_absorbing_path(
 
     segments: list[tuple] = [pieces[0]]
     used_conn = 0
+    lengths = _ee_first(range(MAX_INNER + 1), params.mode)
     for nxt in pieces[1:]:
         prev_end = segments[-1][2][-2:]
         attempt_orders = [nxt, (nxt[0], nxt[1], tuple(reversed(nxt[2])))]
@@ -539,10 +558,8 @@ def build_absorbing_path(
                 prev_end,
                 cand[2][:2],
                 bits(allowed_base & ~used_conn),
-                max_inner=params.max_inner,
-                budget=params.connect_budget,
                 seed=int(rng.integers(2**31)),
-                lengths=_internal_lengths(params),
+                lengths=lengths,
             )
             if conn is not None:
                 chosen = cand
@@ -564,7 +581,8 @@ def build_absorbing_path(
         spare_capacity=len(absorbers),
     )
     seq = ap.vertex_sequence()
-    assert verify_tight_path(H, seq)
+    if not verify_tight_path(H, seq):
+        raise UncertifiedResult("absorbing path failed re-verification")
     ends_ok = bool(
         is_connectable(H, seq[1], seq[0], params.beta)
         and is_connectable(H, seq[-2], seq[-1], params.beta)
@@ -585,12 +603,14 @@ def build_absorbing_path(
     return ap
 
 
-def _internal_lengths(params: PipelineParams) -> list[int]:
-    if params.mode == "ee":
-        base = [5, 6, 7]
-        rest = [l for l in range(0, params.max_inner + 1) if l not in base]
-        return base + rest
-    return list(range(0, params.max_inner + 1))
+def _ee_first(order: Iterable[int], mode: str) -> list[int]:
+    """Inner-length preference: in ee mode, the lengths 5, 6 and 7 that
+    ``order`` holds come first; the rest keep their order."""
+    order = list(order)
+    if mode != "ee":
+        return order
+    ee = [l for l in (5, 6, 7) if l in order]
+    return ee + [l for l in order if l not in ee]
 
 
 # -- absorption --------------------------------------------------------------------
@@ -688,8 +708,8 @@ def absorb(
             new_segments.append((kind, tag, verts))
     seq = tuple(v for _, _, verts in new_segments for v in verts)
     old = A.vertex_sequence()
-    assert seq[:2] == old[:2] and seq[-2:] == old[-2:], "ends must be preserved"
-    assert verify_tight_path(H, seq), "absorption produced an uncertified path"
+    if seq[:2] != old[:2] or seq[-2:] != old[-2:] or not verify_tight_path(H, seq):
+        raise UncertifiedResult("absorption produced an uncertified path")
     if trace is not None:
         trace["absorbed"] = len(triples) * 3 - len(freed)
         trace["gadget_removed"] = len(freed)
@@ -716,7 +736,6 @@ def find_tight_hamilton(
         trace["attempts"].append(at)
         cycle = _attempt(H, params, attempt, at)
         if cycle is not None:
-            assert verify_tight_cycle(H, cycle.vertices)
             trace["success_attempt"] = attempt
             trace["cycle_length"] = len(cycle)
             return cycle, trace
@@ -752,7 +771,6 @@ def _attempt(H, params, attempt, at) -> Optional[TightPath]:
         params.gamma,
         seed=int(rng.integers(2**31)),
         allowed=bits(cover_allowed),
-        attempts=params.cover_attempts,
     )
     at["cover"] = {"paths": len(base_paths), "uncovered": len(base_uncovered)}
 
@@ -801,10 +819,10 @@ def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, at):
         avail_count = avail.bit_count()
         remaining = k - i
         if i < k - 1:
-            lengths = _spread_lengths(params, avail_count, remaining)
+            lengths = _spread_lengths(params.mode, avail_count, remaining)
         else:
             lengths = _closing_lengths(
-                params, avail_count, len(uncovered), spare, has_gadget
+                params.mode, avail_count, len(uncovered), spare, has_gadget
             )
             if lengths is None:
                 at["fail_stage"] = "parity_planning"
@@ -814,8 +832,6 @@ def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, at):
             frm,
             to,
             bits(avail),
-            max_inner=params.max_inner,
-            budget=params.connect_budget,
             seed=int(rng.integers(2**31)),
             lengths=lengths,
         )
@@ -852,16 +868,13 @@ def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, at):
     return TightPath(tuple(seq), is_cycle=True)
 
 
-def _spread_lengths(params, avail, remaining) -> list[int]:
+def _spread_lengths(mode, avail, remaining) -> list[int]:
     """Inner-length preference for non-closing connections: spend the
     reservoir evenly, keeping at least one vertex per remaining connection."""
-    cap = min(params.max_inner, max(avail - (remaining - 1), 0))
+    cap = min(MAX_INNER, max(avail - (remaining - 1), 0))
     target = min(cap, max(1, avail // max(remaining, 1)))
     order = sorted(range(0, cap + 1), key=lambda l: (abs(l - target), l))
-    if params.mode == "ee":
-        ee = [l for l in (5, 6, 7) if l <= cap]
-        order = ee + [l for l in order if l not in ee]
-    return order
+    return _ee_first(order, mode)
 
 
 def _absorbable(leftover: int, spare: int, has_gadget: bool) -> bool:
@@ -876,18 +889,15 @@ def _absorbable(leftover: int, spare: int, has_gadget: bool) -> bool:
     return (leftover + removal) // 3 <= spare
 
 
-def _closing_lengths(params, avail, uncovered, spare, has_gadget) -> Optional[list[int]]:
+def _closing_lengths(mode, avail, uncovered, spare, has_gadget) -> Optional[list[int]]:
     """Feasible inner lengths for the closing connection: the leftover
     (uncovered plus unused reservoir) must be absorbable."""
     out = [
         l
-        for l in range(0, min(params.max_inner, avail) + 1)
+        for l in range(0, min(MAX_INNER, avail) + 1)
         if _absorbable(uncovered + avail - l, spare, has_gadget)
     ]
     if not out:
         return None
     out.sort(reverse=True)  # consume as much reservoir as possible
-    if params.mode == "ee":
-        ee = [l for l in (5, 6, 7) if l in out]
-        out = ee + [l for l in out if l not in ee]
-    return out
+    return _ee_first(out, mode)

@@ -1,6 +1,8 @@
 """Structural gadget search and counting: cleaned subhypergraphs, connectable
 pairs, apex-rooted four-vertex motifs, cherries, turns, embeddings, the
-3-partite nine-vertex gadget and blow-ups of the tight 8-cycle.
+3-partite nine-vertex gadget and blow-ups of the tight 8-cycle.  The bounded
+pair-to-pair connection search, and the turnable-pair check built on it, live
+in ``hamilton``.
 
 All search budgets are node-expansion counts, never wall clock, so results
 are deterministic per seed.
@@ -40,7 +42,6 @@ __all__ = [
     "is_turn",
     "find_turns",
     "turn_connecting_orderings",
-    "turnable_check",
     "count_embeddings",
     "find_k333",
     "find_c8",
@@ -307,74 +308,6 @@ def find_turns(H: Hypergraph3, samples: int, seed: int) -> list[Turn]:
             seen.add(cand.vertices())
             found.append(cand)
     return found
-
-
-# -- bounded connection search (used by turnable_check) --------------------------
-
-
-def find_path_between(
-    H: Hypergraph3,
-    from_pair: tuple[int, int],
-    to_pair: tuple[int, int],
-    max_inner: int,
-    budget: int = 20000,
-    allowed_mask: Optional[int] = None,
-    min_inner: int = 1,
-) -> Optional[list[int]]:
-    """First tight path from from_pair to to_pair with min_inner..max_inner
-    inner vertices, by depth-first search; None within budget is absence of a
-    certificate, not a proof."""
-    x, y = from_pair
-    z, w = to_pair
-    if len({x, y, z, w}) != 4:
-        raise ValueError("endpoints must be four distinct vertices")
-    if allowed_mask is None:
-        allowed_mask = H.vertex_mask()
-    endmask = mask_of((x, y, z, w))
-    budget_left = [budget]
-
-    def rec(u: int, v: int, used: int, placed: int):
-        if budget_left[0] <= 0:
-            return None
-        budget_left[0] -= 1
-        if placed >= min_inner:
-            if (H.nbr_mask(u, v) >> z) & 1 and (H.nbr_mask(v, z) >> w) & 1:
-                return []
-        if placed == max_inner:
-            return None
-        cand = H.nbr_mask(u, v) & allowed_mask & ~used & ~endmask
-        for t in bits(cand):
-            sub = rec(v, t, used | (1 << t), placed + 1)
-            if sub is not None:
-                return [t] + sub
-        return None
-
-    inner = rec(x, y, (1 << x) | (1 << y), 0)
-    if inner is None:
-        return None
-    seq = [x, y] + inner + [z, w]
-    assert verify_tight_path(H, seq)
-    return seq
-
-
-def turnable_check(
-    H: Hypergraph3,
-    q: tuple[int, int],
-    q_prime: tuple[int, int],
-    max_inner: int = 3,
-    budget: int = 20000,
-) -> dict:
-    """For each of the four orientation combinations of two disjoint unordered
-    pairs, a found tight connecting path (<= max_inner inner vertices) or None."""
-    qa = tuple(q)
-    qb = tuple(q_prime)
-    if set(qa) & set(qb):
-        raise ValueError("pairs must be disjoint")
-    table = {}
-    for start in (qa, (qa[1], qa[0])):
-        for end in (qb, (qb[1], qb[0])):
-            table[(start, end)] = find_path_between(H, start, end, max_inner, budget)
-    return table
 
 
 # -- embeddings -------------------------------------------------------------------

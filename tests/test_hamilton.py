@@ -194,7 +194,7 @@ def test_build_absorbing_path_k60_length_audit():
 
 def test_build_absorbing_path_two_absorbers_on_dense_random():
     H = cons.random(50, 0.85, seed=12)
-    params = ham.PipelineParams(gamma=0.1, seed=12, min_eligibility=2)
+    params = ham.PipelineParams(gamma=0.1, seed=12)
     got = 0
     for seed in range(3):
         ap = ham.build_absorbing_path(H, [0], params, seed=seed)
@@ -280,6 +280,67 @@ def test_absorb_rejects_overlapping_u():
     inside = ap.vertex_sequence()[0]
     with pytest.raises(ValueError):
         ham.absorb(H, ap, [inside])
+
+
+# -- inner-length preferences ---------------------------------------------------------
+
+
+def _old_internal(mode, mi):
+    if mode == "ee":
+        base = [5, 6, 7]
+        return base + [l for l in range(0, mi + 1) if l not in base]
+    return list(range(0, mi + 1))
+
+
+def _old_spread(mode, mi, avail, remaining):
+    cap = min(mi, max(avail - (remaining - 1), 0))
+    target = min(cap, max(1, avail // max(remaining, 1)))
+    order = sorted(range(0, cap + 1), key=lambda l: (abs(l - target), l))
+    if mode == "ee":
+        ee = [l for l in (5, 6, 7) if l <= cap]
+        order = ee + [l for l in order if l not in ee]
+    return order
+
+
+def _old_closing(mode, mi, avail, uncovered, spare, has_gadget):
+    out = [
+        l
+        for l in range(0, min(mi, avail) + 1)
+        if ham._absorbable(uncovered + avail - l, spare, has_gadget)
+    ]
+    if not out:
+        return None
+    out.sort(reverse=True)
+    if mode == "ee":
+        ee = [l for l in (5, 6, 7) if l in out]
+        out = ee + [l for l in out if l not in ee]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["ev", "ee"])
+def test_ee_length_preference_keeps_connect_orders(mode, monkeypatch):
+    # the shared ee preference gives each stage the order of its reference
+    # copy above, as connect sees it: filtered to 0..max_inner, in order
+    def seen(order, mi):
+        return None if order is None else [l for l in order if 0 <= l <= mi]
+
+    for mi in range(3, 16):
+        monkeypatch.setattr(ham, "MAX_INNER", mi)
+        assert seen(ham._ee_first(range(mi + 1), mode), mi) == seen(
+            _old_internal(mode, mi), mi
+        )
+        for avail in range(26):
+            for remaining in range(1, 5):
+                assert seen(ham._spread_lengths(mode, avail, remaining), mi) == seen(
+                    _old_spread(mode, mi, avail, remaining), mi
+                )
+            for uncovered in range(6):
+                for spare in range(5):
+                    for gadget in (False, True):
+                        args = (avail, uncovered, spare, gadget)
+                        assert seen(ham._closing_lengths(mode, *args), mi) == seen(
+                            _old_closing(mode, mi, *args), mi
+                        )
 
 
 # -- the full pipeline -----------------------------------------------------------------

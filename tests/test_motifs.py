@@ -10,7 +10,9 @@ from oracles import (
     naive_k4minus_count,
 )
 from tightcycles import constructions as cons
+from tightcycles import hamilton as ham
 from tightcycles import motifs as mt
+from tightcycles import oracle as orc
 from tightcycles.errors import BudgetError
 from tightcycles.hypercore import (
     PairSet,
@@ -196,7 +198,7 @@ def test_turn_orderings_cover_all_orientations():
 
 
 def test_turnable_on_complete():
-    table = mt.turnable_check(cons.complete(9), (0, 1), (2, 3))
+    table = ham.turnable_check(cons.complete(9), (0, 1), (2, 3))
     assert len(table) == 4
     assert all(p is not None and len(p) == 5 for p in table.values())
 
@@ -207,16 +209,34 @@ def test_turnable_cross_class_absent():
     blue = next(
         tuple(p) for p in H.link_pairs(9).tolist() if not set(p) & set(red)
     )
-    table = mt.turnable_check(H, red, blue)
+    table = ham.turnable_check(H, red, blue)
     assert all(p is None for p in table.values())
 
 
 def test_turnable_empty_and_overlap():
     assert all(
-        p is None for p in mt.turnable_check(cons.empty(6), (0, 1), (2, 3)).values()
+        p is None for p in ham.turnable_check(cons.empty(6), (0, 1), (2, 3)).values()
     )
     with pytest.raises(ValueError):
-        mt.turnable_check(cons.complete(6), (0, 1), (1, 2))
+        ham.turnable_check(cons.complete(6), (0, 1), (1, 2))
+
+
+def test_turnable_matches_exact_path_count():
+    # an entry is a path exactly when the oracle counts one with 1..3 inners
+    rng = np.random.Generator(np.random.PCG64(17))
+    outcomes = set()
+    for i in range(40):
+        n = int(rng.integers(7, 13))
+        H = cons.random(n, (0.3, 0.5, 0.7)[i % 3], 1000 + i)
+        a, b, c, d = (int(v) for v in rng.choice(n, size=4, replace=False))
+        for (s, e), path in ham.turnable_check(H, (a, b), (c, d)).items():
+            exists = any(orc.count_paths_between(H, s, e, l) > 0 for l in (1, 2, 3))
+            assert (path is not None) == exists, (i, s, e)
+            if path is not None:
+                assert tuple(path[:2]) == s and tuple(path[-2:]) == e
+                assert 5 <= len(path) <= 7 and verify_tight_path(H, path)
+            outcomes.add(exists)
+    assert outcomes == {True, False}
 
 
 # -- embeddings ----------------------------------------------------------------------

@@ -144,14 +144,69 @@ print(json.dumps({"code": code}))
 """
 
 
-def test_certification_survives_python_O(tmp_path):
-    """Under -O, which strips asserts, every exact-path check still raises."""
+_PIPELINE_UNDER_O = """
+import json
+from tightcycles import cli, constructions, hamilton
+from tightcycles.errors import UncertifiedResult
+from tightcycles.hypercore import write_h3
+
+assert False  # stripped under -O, so the checks below run without asserts
+
+def expect_uncertified(name, call):
+    try:
+        call()
+    except UncertifiedResult:
+        return
+    raise SystemExit(name + " returned an uncertified result")
+
+K = constructions.complete(30)
+real = hamilton.verify_tight_path
+params = hamilton.PipelineParams(gamma=0.1, seed=1)
+ap = hamilton.build_absorbing_path(K, [0, 1], params)
+outside = [v for v in range(30) if not (ap.vertex_mask() >> v) & 1 and v > 1]
+
+hamilton.verify_tight_path = lambda H, seq: False
+expect_uncertified("connect", lambda: hamilton.connect(K, (0, 1), (2, 3), range(30)))
+expect_uncertified("almost_cover", lambda: hamilton.almost_cover(K, 0.05, 0.15))
+expect_uncertified("absorb", lambda: hamilton.absorb(K, ap, outside[:3]))
+expect_uncertified("turnable_check", lambda: hamilton.turnable_check(K, (0, 1), (2, 3)))
+
+# absorbers are accepted on their own (at most nine-vertex) path identities,
+# so only the longer paths the pipeline assembles fail certification
+hamilton.verify_tight_path = lambda H, seq: len(seq) <= 9 and real(H, seq)
+expect_uncertified(
+    "build_absorbing_path", lambda: hamilton.build_absorbing_path(K, [0, 1], params)
+)
+expect_uncertified("find_tight_hamilton", lambda: hamilton.find_tight_hamilton(K, params))
+
+hamilton.verify_tight_path = lambda H, seq: False
+write_h3(K, "k30.h3")
+code = cli.main(["hamilton", "connect", "--from", "0,1", "--to", "2,3", "k30.h3"])
+print(json.dumps({"code": code}))
+"""
+
+
+def _run_under_O(script, cwd):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", _UNDER_O],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_certification_survives_python_O(tmp_path):
+    """Under -O, which strips asserts, every exact-path check still raises."""
+    out = _run_under_O(_UNDER_O, tmp_path)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.strip().splitlines()[-1] == '{"code": 4}'
+    assert '"error": "UncertifiedResult"' in out.stderr
+
+
+def test_pipeline_certification_survives_python_O(tmp_path):
+    """Under -O, every pipeline stage and the CLI refuse a result that fails
+    re-verification."""
+    out = _run_under_O(_PIPELINE_UNDER_O, tmp_path)
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.strip().splitlines()[-1] == '{"code": 4}'
     assert '"error": "UncertifiedResult"' in out.stderr
