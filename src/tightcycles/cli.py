@@ -111,13 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--avoid", type=_parse_ints, default=[])
     m.add_argument("file")
 
+    pipeline = hamilton.PipelineParams()
     h = sub.add_parser("hamilton", help="absorption pipeline operations")
     hsub = h.add_subparsers(dest="action", required=True)
     hf = hsub.add_parser("find", help="search for a tight Hamilton cycle")
-    hf.add_argument("--mode", choices=("ev", "ee"), default="ev")
-    hf.add_argument("--beta", type=float, default=0.05)
-    hf.add_argument("--gamma", type=float, default=0.15)
-    hf.add_argument("--retries", type=int, default=5)
+    hf.add_argument("--mode", choices=("ev", "ee"), default=pipeline.mode)
+    hf.add_argument("--beta", type=float, default=pipeline.beta)
+    hf.add_argument("--gamma", type=float, default=pipeline.gamma)
+    hf.add_argument("--retries", type=int, default=pipeline.retries)
+    hf.add_argument("--gadget", action="store_true",
+                    help="opt in to the C8 blow-up parity gadget")
     hf.add_argument("--seed", type=int, default=None)
     hf.add_argument("file")
     hc_ = hsub.add_parser("connect", help="tight path between two ordered pairs")
@@ -126,12 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     hc_.add_argument("--allowed", type=_parse_ints, default=None)
     hc_.add_argument("--max-inner", type=int, default=hamilton.MAX_INNER)
     hc_.add_argument("--lengths", type=_parse_ints, default=None)
-    hc_.add_argument("--budget", type=int, default=30000)
+    hc_.add_argument("--budget", type=int, default=hamilton.CONNECT_BUDGET)
     hc_.add_argument("--seed", type=int, default=None)
     hc_.add_argument("file")
     hcv = hsub.add_parser("cover", help="almost cover by connectable paths")
-    hcv.add_argument("--beta", type=float, default=0.05)
-    hcv.add_argument("--gamma", type=float, default=0.15)
+    hcv.add_argument("--beta", type=float, default=pipeline.beta)
+    hcv.add_argument("--gamma", type=float, default=pipeline.gamma)
     hcv.add_argument("--seed", type=int, default=None)
     hcv.add_argument("file")
 
@@ -266,7 +269,7 @@ def _dispatch_hamilton(args) -> tuple[int, dict]:
     if args.action == "find":
         params = hamilton.PipelineParams(
             beta=args.beta, gamma=args.gamma, retries=args.retries,
-            seed=args.seed, mode=args.mode,
+            seed=args.seed, mode=args.mode, use_gadget=args.gadget,
         )
         cycle, trace = hamilton.find_tight_hamilton(H, params)
         if cycle is not None:

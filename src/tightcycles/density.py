@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from ._pykernels import ee_pair_list
 from .errors import BudgetError
-from .hypercore import Graph, Hypergraph3, PairSet, bits, mask_of
+from .hypercore import Graph, Hypergraph3, PairSet, bits, mask_bools, mask_of
 
 __all__ = [
     "DeviationReport",
@@ -140,14 +140,9 @@ def vvv_value(H, d, X, Y, Z) -> Fraction:
     zb = np.zeros(H.n, dtype=bool)
     zb[list(zs)] = True
     a, b = pairs[np.repeat(zb, np.diff(off))].T
-    xb, yb = _bools(xm, H.n), _bools(ym, H.n)
+    xb, yb = mask_bools(xm, H.n), mask_bools(ym, H.n)
     e = int(np.count_nonzero(xb[a] & yb[b]) + np.count_nonzero(xb[b] & yb[a]))
     return e - d * xm.bit_count() * ym.bit_count() * len(zs)
-
-
-def _bools(mask: int, n: int) -> np.ndarray:
-    """Membership of 0..n-1 in a vertex bitmask."""
-    return np.array([(mask >> v) & 1 for v in range(n)], dtype=bool)
 
 
 def ee_value(H, d, P: Iterable[tuple[int, int]], Q: Iterable[tuple[int, int]]) -> Fraction:
@@ -364,7 +359,7 @@ def vvv_deviation(
 
 def _vvv_witness(H, p, q, xmask, ymask):
     n = H.n
-    m = _vvv_margins(H, _bools(xmask, n), _bools(ymask, n))
+    m = _vvv_margins(H, mask_bools(xmask, n), mask_bools(ymask, n))
     kx, ky = xmask.bit_count(), ymask.bit_count()
     zs = [z for z in range(n) if m[z] * q < p * kx * ky]
     return sorted(bits(xmask)), sorted(bits(ymask)), zs

@@ -23,6 +23,7 @@ from .hypercore import (
     Hypergraph3,
     TightPath,
     bits,
+    mask_bools,
     mask_of,
     pair_key,
     pair_of,
@@ -40,6 +41,7 @@ from .motifs import (
 __all__ = [
     "Absorber",
     "AbsorbingPath",
+    "CONNECT_BUDGET",
     "MAX_INNER",
     "PipelineParams",
     "connect",
@@ -56,6 +58,7 @@ __all__ = [
 # -- parameters ----------------------------------------------------------------
 
 MAX_INNER = 15  # inner vertices a connection may use
+CONNECT_BUDGET = 30000  # expansions per connection; see connect
 GADGET_BUDGET = 60000  # nodes per blow-up seed; see find_c8_blowup
 K333_TRIES = 400  # core seeds per absorber attempt; see find_k333
 
@@ -68,6 +71,11 @@ class PipelineParams:
     functions' defaults, engineering choices for dense instances at desk
     scale; the reservoir fraction is gamma^2 with a small-n floor so that
     connections are not starved on hosts with a few dozen vertices.
+
+    The flexible parity gadget (a blow-up of the tight 8-cycle, which lets
+    absorption fix a leftover whose size is not a multiple of three) is
+    opt-in: ``use_gadget=True``, or ``tightcycles hamilton find --gadget``.
+    Without it the closing connection's free length does the parity work.
     """
 
     beta: float = 0.05
@@ -75,7 +83,7 @@ class PipelineParams:
     retries: int = 5
     seed: int = 0
     mode: str = "ev"
-    use_gadget: Optional[bool] = None
+    use_gadget: bool = False
 
     def __post_init__(self):
         if not 0 < self.beta < 1 or not 0 < self.gamma < 1:
@@ -100,7 +108,7 @@ def connect(
     to_pair: tuple[int, int],
     allowed: Iterable[int],
     max_inner: int = MAX_INNER,
-    budget: int = 30000,
+    budget: int = CONNECT_BUDGET,
     seed: int = 0,
     lengths: Optional[Sequence[int]] = None,
     stats: Optional[dict] = None,
@@ -368,9 +376,14 @@ def find_absorber(
 ) -> Optional[Absorber]:
     """Seed a 3-partite core avoiding ``forbidden``, then pick for each middle
     vertex a four-vertex path in its link maximising the eligibility set.
-    Absence within budget is a normal outcome."""
+
+    ``budget`` counts scored 4-tuples (a, b, c, d): each of the three slots
+    scores at most ``budget // 3`` of them, in a shuffled order of its link
+    pairs, and keeps the first best.  Absence within budget is a normal
+    outcome."""
     n = H.n
     fmask = mask_of(forbidden)
+    per_slot = budget // 3
     rng = np.random.Generator(np.random.PCG64(seed))
     for attempt in range(6):
         K = find_k333(
@@ -384,39 +397,19 @@ def find_absorber(
         ok = True
         for i in range(3):
             yv = K[3 + i]
-            best = None
             avail = H.vertex_mask() & ~fmask & ~used
-            edges = [
-                (a, b)
-                for a, b in H.link_pairs(yv).tolist()
-                if (avail >> a) & 1 and (avail >> b) & 1
-            ]
-            rng.shuffle(edges)
-            spent = 0
-            for b_, c_ in edges:
-                for bb, cc in ((b_, c_), (c_, b_)):
-                    # the link of yv inside avail: bb's neighbours are N(yv, bb)
-                    cnbr = H.nbr_mask(yv, cc) & avail & ~(1 << bb)
-                    for a_ in bits(H.nbr_mask(yv, bb) & avail & ~(1 << cc)):
-                        dmask = cnbr & ~(1 << a_)
-                        for d_ in bits(dmask):
-                            spent += 1
-                            elig = (
-                                H.nbr_mask(a_, bb)
-                                & H.nbr_mask(bb, cc)
-                                & H.nbr_mask(cc, d_)
-                            )
-                            score = elig.bit_count()
-                            if best is None or score > best[0]:
-                                best = (score, (a_, bb, cc, d_), elig)
-                            if spent >= budget // 3:
-                                break
-                        if spent >= budget // 3:
-                            break
-                    if spent >= budget // 3:
-                        break
-                if spent >= budget // 3 or (best and best[0] >= n - 21):
-                    break
+            inside = mask_bools(avail, n)
+            pairs = H.link_pairs(yv)
+            order = np.flatnonzero(inside[pairs[:, 0]] & inside[pairs[:, 1]])
+            # a 1-D index array shuffles with the same draws as a list would
+            rng.shuffle(order)
+            # converted 64 pairs at a time: a slot's budget rarely reaches far
+            rows = (
+                row
+                for s in range(0, len(order), 64)
+                for row in pairs[order[s : s + 64]].tolist()
+            )
+            best = _best_link(H, yv, rows, avail, per_slot, n - 21)
             if best is None or best[0] < min_eligibility:
                 ok = False
                 break
@@ -441,6 +434,39 @@ def find_absorber(
         ):
             return A
     return None
+
+
+def _best_link(H, yv, pairs, avail, budget, enough) -> Optional[tuple]:
+    """(score, (a, b, c, d), eligible) for the first highest-scoring path
+    a b c d in the link of yv inside ``avail``, where {b, c} runs over
+    ``pairs`` in order, both ways round, and eligible = N(a,b) & N(b,c) &
+    N(c,d).  Stops after ``budget`` scored 4-tuples, or after a pair whose
+    best score reached ``enough``."""
+    best = None
+    spent = 0
+    for b_, c_ in pairs:
+        for bb, cc in ((b_, c_), (c_, b_)):
+            # the link of yv inside avail: bb's neighbours are N(yv, bb)
+            bc = H.nbr_mask(bb, cc)
+            drow = [
+                (d_, H.nbr_mask(cc, d_))
+                for d_ in bits(H.nbr_mask(yv, cc) & avail & ~(1 << bb))
+            ]
+            for a_ in bits(H.nbr_mask(yv, bb) & avail & ~(1 << cc)):
+                abc = H.nbr_mask(a_, bb) & bc
+                for d_, cd in drow:
+                    if d_ == a_:
+                        continue
+                    spent += 1
+                    elig = abc & cd
+                    score = elig.bit_count()
+                    if best is None or score > best[0]:
+                        best = (score, (a_, bb, cc, d_), elig)
+                    if spent >= budget:
+                        return best
+        if spent >= budget or (best is not None and best[0] >= enough):
+            return best
+    return best
 
 
 def _eligible_probe(A: Absorber) -> Optional[tuple]:
@@ -487,20 +513,16 @@ def build_absorbing_path(
     seed: Optional[int] = None,
     trace: Optional[dict] = None,
 ) -> Optional[AbsorbingPath]:
-    """Collect disjoint absorbers avoiding the reservoir R, optionally a
-    flexible blow-up gadget, and stitch all sub-paths into one tight path with
-    inner connection vertices outside R."""
+    """Collect disjoint absorbers avoiding the reservoir R, plus a flexible
+    blow-up gadget when ``params.use_gadget`` is set, and stitch all
+    sub-paths into one tight path with inner connection vertices outside R."""
     n = H.n
     rmask = mask_of(R)
     seed = params.seed if seed is None else seed
     rng = np.random.Generator(np.random.PCG64(seed))
     free = n - rmask.bit_count()
-    want_gadget = params.use_gadget
-    if want_gadget is None:
-        # the parity fix sheds 8 or 16 gadget vertices into the leftover, so
-        # the gadget only pays off with three or more absorbers beside it
-        want_gadget = free >= 104
-    reserve = 32 if want_gadget else 0
+    # an opted-in gadget search needs 32 vertices left beside the absorbers
+    reserve = 32 if params.use_gadget else 0
     t_target = 2 * ceil(params.gamma * params.gamma * n)
     t_target = max(1, min(t_target, (free - reserve - 3) // 22))
     absorbers: list[Absorber] = []
@@ -523,7 +545,7 @@ def build_absorbing_path(
         return None
 
     gadget_classes = None
-    if want_gadget and n - forbidden.bit_count() >= 32:
+    if params.use_gadget and n - forbidden.bit_count() >= 32:
         gadget_classes = find_c8_blowup(
             H,
             budget=GADGET_BUDGET,

@@ -31,6 +31,7 @@ __all__ = [
     "write_h3",
     "bits",
     "mask_of",
+    "mask_bools",
     "pair_key",
     "pair_of",
 ]
@@ -49,6 +50,11 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def mask_bools(mask: int, n: int) -> np.ndarray:
+    """Membership of 0..n-1 in a vertex bitmask, as a boolean array."""
+    return np.array([(mask >> v) & 1 for v in range(n)], dtype=bool)
 
 
 class Hypergraph3:

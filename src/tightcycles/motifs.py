@@ -134,11 +134,14 @@ def _high_codegree_masks(H: Hypergraph3, thr: float) -> list[int]:
     return high
 
 
-def is_connectable(H: Hypergraph3, x: int, y: int, beta: float, _high=None) -> bool:
+def is_connectable(H: Hypergraph3, x: int, y: int, beta: float) -> bool:
+    """Whether (x, y) is in ``connectable_pairs(H, beta)``: only the z in
+    N(x, y) are looked up, one codegree(y, z) each, instead of every pair."""
     thr = beta * H.n
-    high = _high if _high is not None else _high_codegree_masks(H, thr)
-    z = H.nbr_mask(x, y) & high[y]
-    return z.bit_count() >= thr
+    hits = sum(
+        1 for z in bits(H.nbr_mask(x, y)) if H.nbr_mask(y, z).bit_count() >= thr
+    )
+    return hits >= thr
 
 
 def connectable_pairs(H: Hypergraph3, beta: float) -> PairSet:

@@ -14,8 +14,9 @@ import numpy as np
 
 from tightcycles._pykernels import _ctz, ee_pair_list
 from tightcycles.density import as_density_fraction
+from tightcycles.hamilton import Absorber, _eligible_probe, is_absorber
 from tightcycles.hypercore import bits, mask_of, verify_tight_path
-from tightcycles.motifs import blowup_path_ordering
+from tightcycles.motifs import blowup_path_ordering, find_k333
 from tightcycles.oracle import (  # noqa: F401  (re-exported)
     brute_ev_raw,
     naive_cherry_count,
@@ -375,4 +376,93 @@ def grow_blowup_reference(H, classes, t, budget, rng, avoid_mask: int = 0):
         ordering = blowup_path_ordering(classes)
         if verify_tight_path(H, ordering):
             return classes
+    return None
+
+
+# -- the former absorber search --------------------------------------------------
+
+
+def find_absorber_reference(
+    H,
+    forbidden=(),
+    min_eligibility: int = 1,
+    budget: int = 4000,
+    seed: int = 0,
+    k333_tries: int = 200,
+):
+    """The former absorber search, verbatim: each slot filters the whole link
+    of its middle vertex in Python, shuffles the pair list and recomputes the
+    full three-way eligibility product for every scored 4-tuple.  The library
+    version must return the same absorber for every argument."""
+    n = H.n
+    fmask = mask_of(forbidden)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for attempt in range(6):
+        K = find_k333(
+            H, avoid=bits(fmask), tries=k333_tries, seed=int(rng.integers(2**31))
+        )
+        if K is None:
+            return None
+        used = mask_of(K)
+        links = []
+        eligibles = []
+        ok = True
+        for i in range(3):
+            yv = K[3 + i]
+            best = None
+            avail = H.vertex_mask() & ~fmask & ~used
+            edges = [
+                (a, b)
+                for a, b in H.link_pairs(yv).tolist()
+                if (avail >> a) & 1 and (avail >> b) & 1
+            ]
+            rng.shuffle(edges)
+            spent = 0
+            for b_, c_ in edges:
+                for bb, cc in ((b_, c_), (c_, b_)):
+                    # the link of yv inside avail: bb's neighbours are N(yv, bb)
+                    cnbr = H.nbr_mask(yv, cc) & avail & ~(1 << bb)
+                    for a_ in bits(H.nbr_mask(yv, bb) & avail & ~(1 << cc)):
+                        dmask = cnbr & ~(1 << a_)
+                        for d_ in bits(dmask):
+                            spent += 1
+                            elig = (
+                                H.nbr_mask(a_, bb)
+                                & H.nbr_mask(bb, cc)
+                                & H.nbr_mask(cc, d_)
+                            )
+                            score = elig.bit_count()
+                            if best is None or score > best[0]:
+                                best = (score, (a_, bb, cc, d_), elig)
+                            if spent >= budget // 3:
+                                break
+                        if spent >= budget // 3:
+                            break
+                    if spent >= budget // 3:
+                        break
+                if spent >= budget // 3 or (best and best[0] >= n - 21):
+                    break
+            if best is None or best[0] < min_eligibility:
+                ok = False
+                break
+            links.append(best[1])
+            eligibles.append(best[2])
+            used |= mask_of(best[1])
+        if not ok:
+            continue
+        own = mask_of(K) | mask_of(v for link in links for v in link)
+        eligibles = [e & ~own for e in eligibles]
+        if any(e.bit_count() < min_eligibility for e in eligibles):
+            continue
+        A = Absorber(K=tuple(K), links=tuple(links), eligible=tuple(eligibles))
+        probe = _eligible_probe(A)
+        if probe is not None and is_absorber(H, A, probe):
+            return A
+        # no joint eligible triple to probe with; accept on path identities
+        if probe is None and all(
+            verify_tight_path(H, A.link_path(i)) for i in range(3)
+        ) and verify_tight_path(H, A.k_path_full()) and verify_tight_path(
+            H, A.k_path_short()
+        ):
+            return A
     return None

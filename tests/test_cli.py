@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -154,6 +155,42 @@ def test_hamilton_cover_cli(tmp_path, capsys):
     assert code == 0
     res = json.loads(stdout)["result"]
     assert res["paths"] and not res["shortfall"]
+
+
+def test_hamilton_parser_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    pipeline = cli.hamilton.PipelineParams()
+    find = parser.parse_args(["hamilton", "find", "f.h3"])
+    assert (find.beta, find.gamma, find.retries, find.mode, find.gadget) == (
+        pipeline.beta, pipeline.gamma, pipeline.retries, pipeline.mode,
+        pipeline.use_gadget,
+    )
+    # the pipeline hands almost_cover its own beta and gamma
+    cover = parser.parse_args(["hamilton", "cover", "f.h3"])
+    assert (cover.beta, cover.gamma) == (pipeline.beta, pipeline.gamma)
+    connect = parser.parse_args(
+        ["hamilton", "connect", "--from", "0,1", "--to", "2,3", "f.h3"]
+    )
+    defaults = inspect.signature(cli.hamilton.connect).parameters
+    assert connect.budget == defaults["budget"].default
+    assert connect.max_inner == defaults["max_inner"].default
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_hamilton_find_gadget_flag_reaches_params(tmp_path, capsys, monkeypatch, flag):
+    out = tmp_path / "k12.h3"
+    run(capsys, "gen", "--family", "complete", "--n", "12", "-o", str(out))
+    seen = []
+
+    def record(H, params):
+        seen.append(params)
+        return None, {"attempts": []}
+
+    monkeypatch.setattr(cli.hamilton, "find_tight_hamilton", record)
+    argv = ["hamilton", "find", "--seed", "1"] + (["--gadget"] if flag else [])
+    code, _, _ = run(capsys, *argv, str(out))
+    assert code == 1
+    assert seen == [cli.hamilton.PipelineParams(seed=1, use_gadget=flag)]
 
 
 def test_oracle_count_paths_cli(tmp_path, capsys):

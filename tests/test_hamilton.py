@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from oracles import find_absorber_reference
 from tightcycles import constructions as cons
 from tightcycles import hamilton as ham
 from tightcycles import oracle as orc
@@ -174,6 +176,40 @@ def test_absorber_random_eligible_triples_pass(seed):
     assert count > 0
 
 
+@pytest.mark.parametrize("n", [36, 66, 96, 120, 150])
+def test_find_absorber_matches_reference(n):
+    H = cons.random(n, 0.85, n)
+    for seed in range(3):
+        forbidden = range(n - 3 * seed - 9, n, 3) if seed else ()
+        # slot budgets budget // 3 of 1000, 333, 10 and 0 (which stops each
+        # slot at its first scored 4-tuple); min_eligibility n is never met,
+        # so all six attempts run and the search returns None
+        for budget in (3000, 1000, 30, 2):
+            for min_elig in (1, 3, n):
+                kwargs = dict(
+                    forbidden=forbidden,
+                    min_eligibility=min_elig,
+                    budget=budget,
+                    seed=seed,
+                    k333_tries=50,
+                )
+                assert ham.find_absorber(H, **kwargs) == find_absorber_reference(
+                    H, **kwargs
+                )
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 9000])
+def test_index_shuffle_draws_like_list_shuffle(size):
+    a = np.random.Generator(np.random.PCG64(size))
+    b = np.random.Generator(np.random.PCG64(size))
+    order = np.arange(size)
+    items = list(range(size))
+    a.shuffle(order)
+    b.shuffle(items)
+    assert order.tolist() == items
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 # -- absorbing path -------------------------------------------------------------------
 
 
@@ -241,7 +277,9 @@ def test_absorb_divisibility_without_gadget():
 
 def test_absorb_gadget_parity_fix():
     H = cons.complete(140)
-    ap = ham.build_absorbing_path(H, [0, 1, 2], ham.PipelineParams(seed=0))
+    ap = ham.build_absorbing_path(
+        H, [0, 1, 2], ham.PipelineParams(seed=0, use_gadget=True)
+    )
     assert ap is not None and ap.gadget_classes is not None
     assert len(ap.absorbers) >= 4
     outside = [
@@ -268,10 +306,25 @@ def test_absorb_gadget_parity_fix():
 
 def test_pipeline_gadget_end_to_end():
     H = cons.random(120, 0.92, 902)
-    cyc, trace = ham.find_tight_hamilton(H, ham.PipelineParams(seed=2))
+    cyc, trace = ham.find_tight_hamilton(
+        H, ham.PipelineParams(seed=2, use_gadget=True)
+    )
     assert cyc is not None and verify_tight_cycle(H, cyc.vertices)
     assert len(cyc) == 120
     assert trace["attempts"][-1]["absorbing"]["gadget"]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_default_pipeline_makes_no_gadget_search(seed, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default pipeline searched for a gadget")
+
+    monkeypatch.setattr(ham, "find_c8_blowup", refuse)
+    H = cons.random(120, 0.85, seed)
+    cyc, trace = ham.find_tight_hamilton(H, ham.PipelineParams(seed=seed))
+    assert cyc is not None and verify_tight_cycle(H, cyc.vertices)
+    assert len(cyc) == 120
+    assert not any(at.get("absorbing", {}).get("gadget") for at in trace["attempts"])
 
 
 def test_absorb_rejects_overlapping_u():

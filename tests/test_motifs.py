@@ -102,6 +102,21 @@ def test_connectable_is_asymmetric_in_general():
     assert not mt.is_connectable(H, 1, 0, beta)
 
 
+@pytest.mark.parametrize(
+    "H",
+    [cons.empty(12), cons.complete(12), cons.example1(16, seed=1)]
+    + [cons.random(n, p, n) for n, p in ((14, 0.3), (18, 0.6), (24, 0.85))],
+    ids=["empty", "complete", "example1", "random14", "random18", "random24"],
+)
+@pytest.mark.parametrize("beta", [0.05, 0.2, 0.45])
+def test_is_connectable_matches_connectable_pairs(H, beta):
+    cp = mt.connectable_pairs(H, beta)
+    for x in range(H.n):
+        for y in range(H.n):
+            if x != y:
+                assert mt.is_connectable(H, x, y, beta) == ((x, y) in cp)
+
+
 # -- apex-rooted motif ------------------------------------------------------------
 
 
