@@ -7,9 +7,15 @@ vertex) and are only allowed below fixed budgets; heuristic and sampled modes
 are restricted searches whose witnesses are recounted exactly, so a reported
 violation is always genuine.
 
+Every search step and witness counts "how many thirds x of a pair lie in a
+set" with :meth:`Hypergraph3.pair_counts`; the recounts ``ev_value``,
+``vvv_value`` and ``ee_value`` stay independent of it.
+
 The target density d is handled as a rational p/q throughout (floats are
 snapped to the nearest fraction with denominator <= 10^9), which makes raw
-values exactly reproducible from their witnesses.
+values exactly reproducible from their witnesses.  Every margin comparison
+q*count < p*size takes its dtype from the exact kernels' rule (``_wide``):
+int64 while nothing can wrap, Python integers beyond.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import kernels
-from ._pykernels import ee_pair_list
+from ._pykernels import _wide
 from .errors import BudgetError
-from .hypercore import Graph, Hypergraph3, PairSet, bits, mask_bools, mask_of
+from .hypercore import Graph, Hypergraph3, PairSet, mask_bools, mask_of
 
 __all__ = [
     "DeviationReport",
@@ -119,12 +125,19 @@ class RegularPairReport:
 # -- exact recounts (witness -> value, integer arithmetic) -------------------
 
 
+def _check_range(H, **witness) -> None:
+    for name, part in witness.items():
+        vs = np.asarray(list(part))  # object dtype for ints beyond int64
+        if vs.size and not (vs.min() >= 0 and vs.max() < H.n):
+            raise ValueError(f"{name} has a vertex outside 0..{H.n - 1}")
+
+
 def ev_value(H: Hypergraph3, d, X: Iterable[int], P: Iterable[tuple[int, int]]) -> Fraction:
     """e(X, P) - d |X| |P| for a vertex set and an ordered pair collection."""
     d = as_density_fraction(d)
-    xs = set(X)
+    xs, pl = set(X), list(P)
+    _check_range(H, X=xs, P=pl)
     xmask = mask_of(xs)
-    pl = list(P)
     e = sum((H.nbr_mask(y, z) & xmask).bit_count() for y, z in pl)
     return e - d * len(xs) * len(pl)
 
@@ -132,23 +145,23 @@ def ev_value(H: Hypergraph3, d, X: Iterable[int], P: Iterable[tuple[int, int]]) 
 def vvv_value(H, d, X, Y, Z) -> Fraction:
     """e(X, Y, Z) - d |X| |Y| |Z|, counting ordered (x, y) per z."""
     d = as_density_fraction(d)
-    xm, ym = mask_of(X), mask_of(Y)
-    zs = set(Z)
-    if any(not 0 <= z < H.n for z in zs):
-        raise ValueError(f"Z has a vertex outside 0..{H.n - 1}")
+    sets = {"X": set(X), "Y": set(Y), "Z": set(Z)}
+    _check_range(H, **sets)
+    xb, yb, zb = np.zeros((3, H.n), dtype=bool)
+    for row, vs in zip((xb, yb, zb), sets.values()):
+        row[list(vs)] = True
     off, pairs = H.link_index()
-    zb = np.zeros(H.n, dtype=bool)
-    zb[list(zs)] = True
     a, b = pairs[np.repeat(zb, np.diff(off))].T
-    xb, yb = mask_bools(xm, H.n), mask_bools(ym, H.n)
     e = int(np.count_nonzero(xb[a] & yb[b]) + np.count_nonzero(xb[b] & yb[a]))
-    return e - d * xm.bit_count() * ym.bit_count() * len(zs)
+    return e - d * int(xb.sum()) * int(yb.sum()) * int(zb.sum())
 
 
 def ee_value(H, d, P: Iterable[tuple[int, int]], Q: Iterable[tuple[int, int]]) -> Fraction:
     """e(P, Q) - d |K(Q, P)| where K pairs (x,y) in P with (y,z) in Q over
     three distinct vertices."""
     d = as_density_fraction(d)
+    P, Q = list(P), list(Q)
+    _check_range(H, P=P, Q=Q)
     psec: dict[int, int] = {}
     for x, y in P:
         psec[y] = psec.get(y, 0) | (1 << x)
@@ -178,21 +191,39 @@ def _report(notion, H, mode, dfrac, raw: Fraction, witness, exact, samples=None)
     )
 
 
+# -- search helpers ----------------------------------------------------------
+
+
+def _below(a, b, p, q, n) -> np.ndarray:
+    """The margin test a*q < p*b, elementwise, in the dtype ``_wide`` picks
+    for (p, q, n), so no product wraps."""
+    dt = _wide(p, q, n)
+    return np.asarray(a).astype(dt) * q < p * np.asarray(b).astype(dt)
+
+
+def _pairs(M: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs (u, v) set in a boolean matrix, in row-major order."""
+    return [tuple(uv) for uv in np.argwhere(M).tolist()]
+
+
+def _offdiag(n: int, flags) -> np.ndarray:
+    """The n x n boolean matrix holding ``flags`` off the diagonal, in
+    row-major order (the pair order of ``ee_pair_list``)."""
+    M = np.zeros((n, n), dtype=bool)
+    M[~np.eye(n, dtype=bool)] = flags
+    return M
+
+
 # -- ev ----------------------------------------------------------------------
 
 
-def _ev_witness_from_mask(H, p, q, xmask):
-    xs = sorted(bits(xmask))
-    k = len(xs)
-    P = []
-    for y in range(H.n):
-        for z in range(H.n):
-            if y == z:
-                continue
-            cnt = (H.nbr_mask(y, z) & xmask).bit_count()
-            if cnt * q < p * k:
-                P.append((y, z))
-    return xs, P
+def _ev_witness(H, p, q, xmask):
+    """X and its best P: the ordered pairs (y, z) with q*|N(y,z) ∩ X| < p*|X|."""
+    n = H.n
+    xb = mask_bools(xmask, n)
+    P = _below(H.pair_counts(xb), xmask.bit_count(), p, q, n)
+    np.fill_diagonal(P, False)
+    return np.flatnonzero(xb).tolist(), _pairs(P)
 
 
 def ev_deviation(
@@ -219,13 +250,13 @@ def ev_deviation(
                 f"ev exact exceeds exact budget (n={H.n} > {EV_EXACT_MAX_N})"
             )
         _, xmask = kernels.backend().ev_exact(H.edge_tensor(), p, q)
-        xs, P = _ev_witness_from_mask(H, p, q, int(xmask))
+        xs, P = _ev_witness(H, p, q, int(xmask))
         raw = ev_value(H, dfrac, xs, P)
         return _report("ev", H, mode, dfrac, raw, {"X": xs, "P": P}, True)
 
     budget = samples if mode == "sampled" else None
     xmask, used = _ev_search(H, p, q, seed, restarts=restarts, budget=budget)
-    xs, P = _ev_witness_from_mask(H, p, q, xmask)
+    xs, P = _ev_witness(H, p, q, xmask)
     raw = ev_value(H, dfrac, xs, P)
     return _report(
         "ev", H, mode, dfrac, raw, {"X": xs, "P": P}, False,
@@ -236,8 +267,10 @@ def ev_deviation(
 def _ev_search(H, p, q, seed, restarts=32, budget=None):
     """Local search over X; returns (best X mask, proposals evaluated).
 
-    Maintains per-pair counts |N(y,z) ∩ X| and their histogram so a vertex
-    flip costs O(deg); the objective is exact integer arithmetic throughout.
+    Each restart starts from the counts |N(y,z) ∩ X| of ``pair_counts`` and
+    their histogram over unordered pairs.  Flipping v moves each pair in v's
+    link by the same ±1, so the candidate histogram takes one ``bincount`` of
+    their counts, shifted by one place; it is written only on acceptance.
     """
     n = H.n
     if n == 0:
@@ -245,31 +278,23 @@ def _ev_search(H, p, q, seed, restarts=32, budget=None):
     rng = np.random.Generator(np.random.PCG64(seed))
     off, pairs = H.link_index()
     linkkeys = np.split(pairs[:, 0] * n + pairs[:, 1], off[1:-1])
-    valid = np.array([a * n + b for a in range(n) for b in range(a + 1, n)], dtype=np.int64)
-    npairs = len(valid)
-    cgrid = np.arange(n, dtype=np.int64)
+    upper = np.triu_indices(n, 1)
+    cq = np.arange(n).astype(_wide(p, q, n)) * q
 
     def objective(hist, k):
-        marg = cgrid * q - p * k
-        neg = marg < 0
-        return 2 * int((hist[neg] * marg[neg]).sum())
+        return 2 * int(hist @ np.minimum(cq - p * k, 0))
 
     best_num = 0
     best_mask = 0
     used = 0
     r = 0
     while r < restarts if budget is None else used < budget:
-        cnt = np.zeros(n * n, dtype=np.int64)
-        if r == 0:
-            xmask = (1 << n) - 1
-        else:
-            xmask = int(
-                sum(1 << v for v in range(n) if rng.random() < 0.5)
-            )
+        xb = np.ones(n, dtype=bool) if r == 0 else rng.random(n) < 0.5
+        xmask = mask_of(np.flatnonzero(xb).tolist())
         k = xmask.bit_count()
-        for v in bits(xmask):
-            cnt[linkkeys[v]] += 1
-        hist = np.bincount(cnt[valid], minlength=n)[:n].astype(np.int64)
+        cnt = H.pair_counts(xb)
+        hist = np.bincount(cnt[upper], minlength=n)
+        cnt = cnt.ravel()
         s = objective(hist, k)
         if s < best_num:
             best_num, best_mask = s, xmask
@@ -280,27 +305,22 @@ def _ev_search(H, p, q, seed, restarts=32, budget=None):
             keys = linkkeys[v]
             delta = -1 if (xmask >> v) & 1 else 1
             old = cnt[keys]
-            np.add.at(hist, old, -1)
-            np.add.at(hist, old + delta, 1)
-            cnt[keys] = old + delta
-            k2 = k + delta
-            s2 = objective(hist, k2)
+            # moved[c + 1] pairs leave count c for c + delta; a link pair's
+            # count stays in 0..n-2, so both pads are 0
+            moved = np.bincount(old + 1, minlength=n + 2)
+            hist2 = hist - moved[1:-1] + moved[1 - delta : n + 1 - delta]
+            s2 = objective(hist2, k + delta)
             used += 1
             if s2 < s:
-                s, k = s2, k2
+                s, k, hist = s2, k + delta, hist2
+                cnt[keys] = old + delta
                 xmask ^= 1 << v
                 if s < best_num:
                     best_num, best_mask = s, xmask
                 stall = 0
             else:
-                new = cnt[keys]
-                np.add.at(hist, new, -1)
-                np.add.at(hist, new - delta, 1)
-                cnt[keys] = new - delta
                 stall += 1
         r += 1
-        if budget is None and r >= restarts:
-            break
     return best_mask, used
 
 
@@ -309,15 +329,7 @@ def _ev_search(H, p, q, seed, restarts=32, budget=None):
 
 def _vvv_margins(H, amask_bool, bmask_bool):
     """Per-vertex counts of ordered pairs (a, b) in A x B completing an edge."""
-    m = np.zeros(H.n, dtype=np.int64)
-    E = H.triples
-    if len(E) == 0:
-        return m
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        contrib = (amask_bool[E[:, i]] & bmask_bool[E[:, j]]).astype(np.int64)
-        contrib += (amask_bool[E[:, j]] & bmask_bool[E[:, i]]).astype(np.int64)
-        np.add.at(m, E[:, k], contrib)
-    return m
+    return H.pair_counts(bmask_bool) @ amask_bool
 
 
 def vvv_deviation(
@@ -343,13 +355,13 @@ def vvv_deviation(
                 f"vvv exact exceeds exact budget (n={H.n} > {VVV_EXACT_MAX_N})"
             )
         _, xm, ym = kernels.backend().vvv_exact(H.edge_tensor(), p, q)
-        xs, ys, zs = _vvv_witness(H, p, q, int(xm), int(ym))
+        xs, ys, zs = _vvv_witness(H, p, q, mask_bools(int(xm), H.n), mask_bools(int(ym), H.n))
         raw = vvv_value(H, dfrac, xs, ys, zs)
         return _report("vvv", H, mode, dfrac, raw, {"X": xs, "Y": ys, "Z": zs}, True)
 
     budget = samples if mode == "sampled" else None
-    (xm, ym), used = _vvv_alternating(H, p, q, seed, restarts, budget)
-    xs, ys, zs = _vvv_witness(H, p, q, xm, ym)
+    (xb, yb), used = _vvv_alternating(H, p, q, seed, restarts, budget)
+    xs, ys, zs = _vvv_witness(H, p, q, xb, yb)
     raw = vvv_value(H, dfrac, xs, ys, zs)
     return _report(
         "vvv", H, mode, dfrac, raw, {"X": xs, "Y": ys, "Z": zs}, False,
@@ -357,54 +369,44 @@ def vvv_deviation(
     )
 
 
-def _vvv_witness(H, p, q, xmask, ymask):
-    n = H.n
-    m = _vvv_margins(H, mask_bools(xmask, n), mask_bools(ymask, n))
-    kx, ky = xmask.bit_count(), ymask.bit_count()
-    zs = [z for z in range(n) if m[z] * q < p * kx * ky]
-    return sorted(bits(xmask)), sorted(bits(ymask)), zs
+def _vvv_best(H, p, q, a, b):
+    """The vertices v with q*#{(x, y) in A x B : xyv an edge} < p*|A||B|."""
+    return _below(_vvv_margins(H, a, b), int(a.sum()) * int(b.sum()), p, q, H.n)
+
+
+def _vvv_witness(H, p, q, xb, yb):
+    """X, Y and their best Z, as sorted vertex lists."""
+    return [np.flatnonzero(v).tolist() for v in (xb, yb, _vvv_best(H, p, q, xb, yb))]
 
 
 def _vvv_alternating(H, p, q, seed, restarts, budget):
     n = H.n
     rng = np.random.Generator(np.random.PCG64(seed))
     best_val = Fraction(0)
-    best = (0, 0)
+    best = (np.zeros(n, dtype=bool),) * 2
     used = 0
     dfrac = Fraction(p, q)
     for r in range(max(restarts, 1)):
         if budget is not None and used >= budget:
             break
-        if r == 0:
-            xb = np.ones(n, dtype=bool)
-            yb = np.ones(n, dtype=bool)
-        else:
-            xb = rng.random(n) < 0.5
-            yb = rng.random(n) < 0.5
+        xb, yb = (np.ones(n, dtype=bool) if r == 0 else rng.random(n) < 0.5 for _ in "xy")
         prev = None
         for _ in range(40):
-            m = _vvv_margins(H, xb, yb)
-            kxy = int(xb.sum()) * int(yb.sum())
-            zb = m * q < p * kxy
+            zb = _vvv_best(H, p, q, xb, yb)
             used += 1
             # optimise X against (Y, Z)
-            mx = _vvv_margins(H, yb, zb)
-            xb = mx * q < p * int(yb.sum()) * int(zb.sum())
+            xb = _vvv_best(H, p, q, yb, zb)
             used += 1
-            my = _vvv_margins(H, xb, zb)
-            yb = my * q < p * int(xb.sum()) * int(zb.sum())
+            yb = _vvv_best(H, p, q, xb, zb)
             used += 1
             state = (xb.tobytes(), yb.tobytes())
             if state == prev or (budget is not None and used >= budget):
                 break
             prev = state
-        xm = mask_of(np.nonzero(xb)[0].tolist())
-        ym = mask_of(np.nonzero(yb)[0].tolist())
-        xs, ys, zs = _vvv_witness(H, p, q, xm, ym)
-        val = vvv_value(H, dfrac, xs, ys, zs)
+        val = vvv_value(H, dfrac, *_vvv_witness(H, p, q, xb, yb))
         if val < best_val:
             best_val = val
-            best = (xm, ym)
+            best = (xb, yb)
     return best, used
 
 
@@ -436,9 +438,8 @@ def ee_deviation(
                 f"ee exact exceeds exact budget (n={H.n} > {EE_EXACT_MAX_N})"
             )
         _, pmask = kernels.backend().ee_exact(H.edge_tensor(), p, q)
-        pairs = ee_pair_list(H.n)
-        P = [pairs[i] for i in bits(int(pmask))]
-        Q = _ee_best_q(H, p, q, P)
+        Pm = _offdiag(H.n, mask_bools(int(pmask), H.n * (H.n - 1)))
+        P, Q = _pairs(Pm), _pairs(_ee_best(H, p, q, Pm.T))
         raw = ee_value(H, dfrac, P, Q)
         return _report("ee", H, mode, dfrac, raw, {"P": P, "Q": Q}, True)
 
@@ -451,48 +452,23 @@ def ee_deviation(
     )
 
 
-def _ee_best_q(H, p, q, P):
-    n = H.n
-    psec = [0] * n
-    for x, y in P:
-        psec[y] |= 1 << x
-    Q = []
-    for y in range(n):
-        xm = psec[y]
-        if not xm:
-            continue
-        for z in range(n):
-            if z == y:
-                continue
-            a = (xm & H.nbr_mask(y, z)).bit_count()
-            b = (xm & ~(1 << z)).bit_count()
-            if a * q < p * b:
-                Q.append((y, z))
-    return Q
+def _ee_best(H, p, q, S):
+    """The best response to the sections in the rows of S, as an n x n
+    boolean matrix: entry [y, z] is set iff z != y and
+    q*|S_y ∩ N(y, z)| < p*|S_y ∖ {z}|.
 
-
-def _ee_best_p(H, p, q, Q):
-    n = H.n
-    qfirst = [0] * n
-    for y, z in Q:
-        qfirst[y] |= 1 << z
-    P = []
-    for x in range(n):
-        for y in range(n):
-            if x == y or not qfirst[y]:
-                continue
-            zm = qfirst[y]
-            a = (zm & H.nbr_mask(x, y)).bit_count()
-            b = (zm & ~(1 << x)).bit_count()
-            if a * q < p * b:
-                P.append((x, y))
-    return P
+    With S[y, x] = [(x, y) in P] it is the best Q against P; with S = Q, its
+    transpose is the best P against Q.
+    """
+    S = np.asarray(S, dtype=bool)
+    M = _below(H.pair_counts(S), S.sum(axis=1, keepdims=True) - S, p, q, H.n)
+    np.fill_diagonal(M, False)
+    return M
 
 
 def _ee_alternating(H, p, q, seed, restarts, budget):
     n = H.n
     rng = np.random.Generator(np.random.PCG64(seed))
-    allp = ee_pair_list(n)
     dfrac = Fraction(p, q)
     best_val = Fraction(0)
     best = ([], [])
@@ -500,20 +476,18 @@ def _ee_alternating(H, p, q, seed, restarts, budget):
     for r in range(max(restarts, 1)):
         if budget is not None and used >= budget:
             break
-        if r == 0:
-            P = list(allp)
-        else:
-            P = [pr for pr in allp if rng.random() < 0.5]
+        Pm = _offdiag(n, True if r == 0 else rng.random(n * (n - 1)) < 0.5)
         prev = None
         for _ in range(40):
-            Q = _ee_best_q(H, p, q, P)
+            Qm = _ee_best(H, p, q, Pm.T)
             used += 1
-            P = _ee_best_p(H, p, q, Q)
+            Pm = _ee_best(H, p, q, Qm).T
             used += 1
-            state = (tuple(P), tuple(Q))
+            state = (Pm.tobytes(), Qm.tobytes())
             if state == prev or (budget is not None and used >= budget):
                 break
             prev = state
+        P, Q = _pairs(Pm), _pairs(Qm)
         val = ee_value(H, dfrac, P, Q)
         if val < best_val:
             best_val = val

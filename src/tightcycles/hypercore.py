@@ -164,6 +164,23 @@ class Hypergraph3:
             self._link_cache = (off, pairs)
         return self._link_cache
 
+    def pair_counts(self, S) -> np.ndarray:
+        """The n x n int64 matrix C with C[u, v] = sum of S[u, x] over x in
+        N(u, v), for a 0/1 n x n array S.  A length-n S weighs every row the
+        same, so C[u, v] = |N(u, v) ∩ S| and C is symmetric.  The diagonal is
+        0.  Built from the link index on each call and not cached."""
+        n = self.n
+        S = np.asarray(S, dtype=bool)
+        _, pairs = self.link_index()
+        x = np.repeat(np.arange(n), self._deg)  # the link owner: {a, b, x} is an edge
+        a, b = pairs.T
+        if S.ndim == 1:
+            C = np.bincount((a * n + b)[S[x]], minlength=n * n).reshape(n, n)
+            return C + C.T
+        flat = S.ravel()
+        keys = np.concatenate([(a * n + b)[flat[a * n + x]], (b * n + a)[flat[b * n + x]]])
+        return np.bincount(keys, minlength=n * n).reshape(n, n)
+
     def link_pairs(self, v: int) -> np.ndarray:
         """The link of ``v``: a read-only k x 2 array of pairs {a, b} with
         {v,a,b} an edge, in edge order."""

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from tightcycles._pykernels import _ctz, ee_pair_list
-from tightcycles.density import as_density_fraction
+from tightcycles.density import as_density_fraction, ee_value
 from tightcycles.hamilton import Absorber, _eligible_probe, is_absorber
 from tightcycles.hypercore import bits, mask_of, verify_tight_path
 from tightcycles.motifs import blowup_path_ordering, find_k333
@@ -466,3 +466,178 @@ def find_absorber_reference(
         ):
             return A
     return None
+
+
+# -- the former density search helpers -------------------------------------------
+#
+# The sampled and heuristic searches as they were before they read
+# `Hypergraph3.pair_counts`: one `nbr_mask` call per pair, `np.add.at` updates
+# and Python best responses.  The searches must return the same reports.
+
+
+def _ev_witness_from_mask(H, p, q, xmask):
+    xs = sorted(bits(xmask))
+    k = len(xs)
+    P = []
+    for y in range(H.n):
+        for z in range(H.n):
+            if y == z:
+                continue
+            cnt = (H.nbr_mask(y, z) & xmask).bit_count()
+            if cnt * q < p * k:
+                P.append((y, z))
+    return xs, P
+
+
+def _ev_search(H, p, q, seed, restarts=32, budget=None):
+    """Local search over X; returns (best X mask, proposals evaluated).
+
+    Maintains per-pair counts |N(y,z) ∩ X| and their histogram so a vertex
+    flip costs O(deg); the objective is exact integer arithmetic throughout.
+    """
+    n = H.n
+    if n == 0:
+        return 0, 0
+    rng = np.random.Generator(np.random.PCG64(seed))
+    off, pairs = H.link_index()
+    linkkeys = np.split(pairs[:, 0] * n + pairs[:, 1], off[1:-1])
+    valid = np.array([a * n + b for a in range(n) for b in range(a + 1, n)], dtype=np.int64)
+    npairs = len(valid)
+    cgrid = np.arange(n, dtype=np.int64)
+
+    def objective(hist, k):
+        marg = cgrid * q - p * k
+        neg = marg < 0
+        return 2 * int((hist[neg] * marg[neg]).sum())
+
+    best_num = 0
+    best_mask = 0
+    used = 0
+    r = 0
+    while r < restarts if budget is None else used < budget:
+        cnt = np.zeros(n * n, dtype=np.int64)
+        if r == 0:
+            xmask = (1 << n) - 1
+        else:
+            xmask = int(
+                sum(1 << v for v in range(n) if rng.random() < 0.5)
+            )
+        k = xmask.bit_count()
+        for v in bits(xmask):
+            cnt[linkkeys[v]] += 1
+        hist = np.bincount(cnt[valid], minlength=n)[:n].astype(np.int64)
+        s = objective(hist, k)
+        if s < best_num:
+            best_num, best_mask = s, xmask
+        stall = 0
+        limit = max(4 * n, 64)
+        while stall < limit and (budget is None or used < budget):
+            v = int(rng.integers(n))
+            keys = linkkeys[v]
+            delta = -1 if (xmask >> v) & 1 else 1
+            old = cnt[keys]
+            np.add.at(hist, old, -1)
+            np.add.at(hist, old + delta, 1)
+            cnt[keys] = old + delta
+            k2 = k + delta
+            s2 = objective(hist, k2)
+            used += 1
+            if s2 < s:
+                s, k = s2, k2
+                xmask ^= 1 << v
+                if s < best_num:
+                    best_num, best_mask = s, xmask
+                stall = 0
+            else:
+                new = cnt[keys]
+                np.add.at(hist, new, -1)
+                np.add.at(hist, new - delta, 1)
+                cnt[keys] = new - delta
+                stall += 1
+        r += 1
+        if budget is None and r >= restarts:
+            break
+    return best_mask, used
+
+
+def _vvv_margins(H, amask_bool, bmask_bool):
+    """Per-vertex counts of ordered pairs (a, b) in A x B completing an edge."""
+    m = np.zeros(H.n, dtype=np.int64)
+    E = H.triples
+    if len(E) == 0:
+        return m
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        contrib = (amask_bool[E[:, i]] & bmask_bool[E[:, j]]).astype(np.int64)
+        contrib += (amask_bool[E[:, j]] & bmask_bool[E[:, i]]).astype(np.int64)
+        np.add.at(m, E[:, k], contrib)
+    return m
+
+
+def _ee_best_q(H, p, q, P):
+    n = H.n
+    psec = [0] * n
+    for x, y in P:
+        psec[y] |= 1 << x
+    Q = []
+    for y in range(n):
+        xm = psec[y]
+        if not xm:
+            continue
+        for z in range(n):
+            if z == y:
+                continue
+            a = (xm & H.nbr_mask(y, z)).bit_count()
+            b = (xm & ~(1 << z)).bit_count()
+            if a * q < p * b:
+                Q.append((y, z))
+    return Q
+
+
+def _ee_best_p(H, p, q, Q):
+    n = H.n
+    qfirst = [0] * n
+    for y, z in Q:
+        qfirst[y] |= 1 << z
+    P = []
+    for x in range(n):
+        for y in range(n):
+            if x == y or not qfirst[y]:
+                continue
+            zm = qfirst[y]
+            a = (zm & H.nbr_mask(x, y)).bit_count()
+            b = (zm & ~(1 << x)).bit_count()
+            if a * q < p * b:
+                P.append((x, y))
+    return P
+
+
+def _ee_alternating(H, p, q, seed, restarts, budget):
+    n = H.n
+    rng = np.random.Generator(np.random.PCG64(seed))
+    allp = ee_pair_list(n)
+    dfrac = Fraction(p, q)
+    best_val = Fraction(0)
+    best = ([], [])
+    used = 0
+    for r in range(max(restarts, 1)):
+        if budget is not None and used >= budget:
+            break
+        if r == 0:
+            P = list(allp)
+        else:
+            P = [pr for pr in allp if rng.random() < 0.5]
+        prev = None
+        for _ in range(40):
+            Q = _ee_best_q(H, p, q, P)
+            used += 1
+            P = _ee_best_p(H, p, q, Q)
+            used += 1
+            state = (tuple(P), tuple(Q))
+            if state == prev or (budget is not None and used >= budget):
+                break
+            prev = state
+        val = ee_value(H, dfrac, P, Q)
+        if val < best_val:
+            best_val = val
+            best = (P, Q)
+    return best, used

@@ -95,6 +95,21 @@ def test_density_fraction_input(tmp_path, capsys):
     assert rep["raw_den"] % 3 == 0 or rep["raw_num"] == 0
 
 
+def test_density_long_decimal_sampled(tmp_path, capsys):
+    """A 22-digit decimal has a denominator beyond int64; the sampled search
+    still runs in exact arithmetic."""
+    out = tmp_path / "r.h3"
+    run(capsys, "gen", "--family", "random", "--n", "8", "--p", "0.5",
+        "--seed", "2", "-o", str(out))
+    code, stdout, _ = run(
+        capsys, "density", "--notion", "ev", "--d", "0.3333333333333333333333",
+        "--mode", "sampled", "--samples", "2000", "--seed", "1", str(out)
+    )
+    assert code == 0
+    rep = json.loads(stdout)["result"]["report"]
+    assert rep["raw_den"] >= 2**63 and rep["samples"] >= 2000
+
+
 def test_motifs_count_and_find(tmp_path, capsys):
     out = tmp_path / "k5.h3"
     run(capsys, "gen", "--family", "complete", "--n", "5", "-o", str(out))

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import oracles
 from oracles import brute_ee_raw, brute_ev_raw, brute_vvv_raw, vvv_value_reference
 from tightcycles import constructions as cons
 from tightcycles import density as dn
@@ -184,6 +186,84 @@ def test_mode_dominance_chain():
     sa = frac(dn.ee_deviation(H, d, "sampled", samples=200, seed=3))
     assert ex <= he <= 0
     assert ex <= sa <= 0
+
+
+# -- the searches against the helpers they replaced ----------------------------
+
+
+def _ee_best_q_reference(H, p, q, S):
+    """Exact ee's best-Q call, answered by the former ``_ee_best_q``."""
+    M = np.zeros((H.n, H.n), dtype=bool)
+    for y, z in oracles._ee_best_q(H, p, q, dn._pairs(np.asarray(S).T)):
+        M[y, z] = True
+    return M
+
+
+def _reference_report(monkeypatch, notion, *args, **kwargs) -> dict:
+    """The report with every count taken by the former helpers."""
+    with monkeypatch.context() as m:
+        m.setattr(dn, "_ev_search", oracles._ev_search)
+        m.setattr(dn, "_ev_witness", oracles._ev_witness_from_mask)
+        m.setattr(dn, "_vvv_margins", oracles._vvv_margins)
+        m.setattr(dn, "_ee_alternating", oracles._ee_alternating)
+        m.setattr(dn, "_ee_best", _ee_best_q_reference)
+        return getattr(dn, f"{notion}_deviation")(*args, **kwargs).to_dict()
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        cons.empty(6),
+        cons.complete(7),
+        cons.random(3, 0.7, 2),
+        cons.random(4, 0.5, 1),
+        cons.random(12, 0.5, 3),
+        cons.random(20, 0.6, 4),
+        cons.example1(30, 2),
+        cons.hp_construction(24, 0.9, 1),
+    ],
+    ids=["empty6", "complete7", "random3", "random4", "random12", "random20", "example1", "hp24"],
+)
+def test_searches_match_the_former_helpers(monkeypatch, H):
+    for d in (Fraction(1, 4), Fraction(3, 10), Fraction(1, 2)):
+        for notion in ("ev", "vvv", "ee"):
+            for mode, kw in (("heuristic", {"restarts": 6}), ("sampled", {"samples": 300})):
+                args = (H, d, mode)
+                kw = dict(kw, seed=H.n)
+                got = getattr(dn, f"{notion}_deviation")(*args, **kw).to_dict()
+                assert got == _reference_report(monkeypatch, notion, *args, **kw)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_searches_match_the_former_helpers_on_tiny_hosts(monkeypatch, n):
+    hosts = [cons.empty(n), cons.complete(n)] + ([cons.random(4, 0.6, 9)] if n == 4 else [])
+    for H in hosts:
+        for notion in ("ev", "vvv", "ee"):
+            for mode in ("exact", "heuristic", "sampled"):
+                args, kw = (H, Fraction(3, 10), mode), {"samples": 100, "seed": 3}
+                got = getattr(dn, f"{notion}_deviation")(*args, **kw).to_dict()
+                assert got == _reference_report(monkeypatch, notion, *args, **kw)
+
+
+# -- recounts ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "recount, args",
+    [
+        (dn.ev_value, ([0, 99], [(1, 2)])),
+        (dn.ev_value, ([0], [(1, 99)])),
+        (dn.ev_value, ([-1], [(1, 2)])),
+        (dn.vvv_value, ([0, 99], [1], [2])),
+        (dn.vvv_value, ([0], [-1], [2])),
+        (dn.vvv_value, ([0], [1, 6], [2])),
+        (dn.ee_value, ([(0, 99)], [(1, 2)])),
+        (dn.ee_value, ([(0, 1)], [(-1, 2)])),
+    ],
+)
+def test_recounts_reject_out_of_range_witnesses(recount, args):
+    with pytest.raises(ValueError):
+        recount(cons.complete(6), Fraction(1, 2), *args)
 
 
 # -- hierarchy boundary (documented convention artifact) -----------------------

@@ -14,6 +14,7 @@ from tightcycles.hypercore import (
     first_violation,
     from_edges,
     from_triple_array,
+    mask_of,
     min_codegree,
     min_degree,
     read_h3,
@@ -311,3 +312,28 @@ def test_pair_key_roundtrip():
             key = pair_key(u, v, n)
             assert key == pair_key(v, u, n)
             assert pair_of(key, n) == (min(u, v), max(u, v))
+
+
+@pytest.mark.parametrize(
+    "H",
+    [cons.empty(0), cons.empty(1), cons.empty(7), cons.complete(8), cons.random(13, 0.5, 2),
+     cons.example1(24, 1)],
+    ids=["empty0", "empty1", "empty7", "complete8", "random13", "example1"],
+)
+def test_pair_counts_match_the_masks(H):
+    n = H.n
+    rng = np.random.Generator(np.random.PCG64(n))
+    for S in (rng.random(n) < 0.5, np.ones(n, dtype=bool), rng.random((n, n)) < 0.5,
+              (rng.random((n, n)) < 0.3).astype(np.int64)):
+        rows = np.broadcast_to(S, (n, n))
+        masks = [mask_of(np.flatnonzero(rows[u]).tolist()) for u in range(n)]
+        C = H.pair_counts(S)
+        assert C.dtype == np.int64 and C.shape == (n, n)
+        for u in range(n):
+            for v in range(n):
+                assert C[u, v] == (masks[u] & H.nbr_mask(u, v)).bit_count()
+        assert not np.diagonal(C).any()
+        if S.ndim == 1:
+            assert np.array_equal(C, C.T)
+    T = np.asarray(rng.random((n, n)) < 0.5)
+    assert np.array_equal(H.pair_counts(T.T), H.pair_counts(np.ascontiguousarray(T.T)))

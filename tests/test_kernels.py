@@ -67,8 +67,10 @@ def _ee_checked(H, d):
     p, q = d.numerator, d.denominator
     raw, pmask = _pykernels.ee_exact(H.edge_tensor(), p, q)
     pairs = _pykernels.ee_pair_list(H.n)
-    P = [pairs[i] for i in range(len(pairs)) if (pmask >> i) & 1]
-    assert dn.ee_value(H, d, P, dn._ee_best_q(H, p, q, P)) == Fraction(raw, q)
+    flags = [(pmask >> i) & 1 for i in range(len(pairs))]
+    P = [pr for pr, f in zip(pairs, flags) if f]
+    best_q = dn._pairs(dn._ee_best(H, p, q, dn._offdiag(H.n, flags).T))
+    assert dn.ee_value(H, d, P, best_q) == Fraction(raw, q)
     return raw
 
 
@@ -91,13 +93,39 @@ def test_ee_matches_gray_walk_at_n5(hp, seed):
     assert _ee_checked(H, d) == want
 
 
+def _best_responses_recount(H, d, rep):
+    """Each best response in a report equals the one that single-element
+    recounts pick: ev's P and vvv's Z against the rest of the witness, ee's P
+    against Q (and Q against P in exact mode, where Q is a best response)."""
+    w = rep.witness
+    ordered = [(u, v) for u in range(H.n) for v in range(H.n) if u != v]
+    if rep.notion == "ev":
+        assert dn.ev_value(H, d, w["X"], w["P"]) == Fraction(*rep.raw_fraction)
+        assert w["P"] == [uv for uv in ordered if dn.ev_value(H, d, w["X"], [uv]) < 0]
+    elif rep.notion == "vvv":
+        assert dn.vvv_value(H, d, w["X"], w["Y"], w["Z"]) == Fraction(*rep.raw_fraction)
+        zs = [z for z in range(H.n) if dn.vvv_value(H, d, w["X"], w["Y"], [z]) < 0]
+        assert w["Z"] == zs
+    else:
+        assert dn.ee_value(H, d, w["P"], w["Q"]) == Fraction(*rep.raw_fraction)
+        assert w["P"] == [uv for uv in ordered if dn.ee_value(H, d, [uv], w["Q"]) < 0]
+        if rep.exact:
+            assert w["Q"] == [uv for uv in ordered if dn.ee_value(H, d, w["P"], [uv]) < 0]
+
+
 @pytest.mark.parametrize(
-    "d", [Fraction(10**18 + 9, 4 * 10**18 + 1), Fraction(10**29 + 7, 4 * 10**29)]
+    "d",
+    [
+        Fraction(10**18 + 9, 4 * 10**18 + 1),
+        Fraction(10**29 + 7, 4 * 10**29),
+        Fraction(1, 3 * 10**18 + 1),
+    ],
 )
 def test_huge_denominator_stays_exact(d):
-    """q * count wraps int64 silently for the first density and q itself
-    leaves int64 for the second; the kernels switch to Python integers and
-    still agree with the Gray walks."""
+    """q * count wraps int64 silently for the first and third densities and
+    q itself leaves int64 for the second; the kernels, the witnesses and the
+    searches all switch to Python integers.  Each exact report equals the
+    Gray walk's minimum, and every best response recounts."""
     p, q = d.numerator, d.denominator
     H = cons.random(6, 0.5, 11)
     T = H.edge_tensor()
@@ -105,4 +133,17 @@ def test_huge_denominator_stays_exact(d):
     assert _pykernels.vvv_exact(T, p, q) == gray_vvv_exact(6, *link_index_lists(H), p, q)
     H = cons.random(4, 0.5, 12)
     assert _ee_checked(H, d) == gray_ee_exact(4, H.nbr_flat(), p, q)[0]
-
+    for s in (11, 12, 13):
+        H = cons.random(7, 0.5, s)
+        for notion, gray in (("ev", gray_ev_exact), ("vvv", gray_vvv_exact)):
+            rep = getattr(dn, f"{notion}_deviation")(H, d, "exact")
+            assert Fraction(*rep.raw_fraction) == Fraction(gray(7, *link_index_lists(H), p, q)[0], q)
+            _best_responses_recount(H, d, rep)
+        H4 = cons.random(4, 0.5, s)
+        rep = dn.ee_deviation(H4, d, "exact")
+        assert Fraction(*rep.raw_fraction) == Fraction(gray_ee_exact(4, H4.nbr_flat(), p, q)[0], q)
+        _best_responses_recount(H4, d, rep)
+        for notion in ("ev", "vvv", "ee"):
+            search = getattr(dn, f"{notion}_deviation")
+            _best_responses_recount(H, d, search(H, d, "heuristic", seed=s, restarts=4))
+            _best_responses_recount(H, d, search(H, d, "sampled", samples=300, seed=s))
