@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercore import Hypergraph3, from_triple_array
+from .motifs import blowup_path_ordering, k333_path_orderings
 
 __all__ = [
     "GenSpec",
@@ -108,9 +109,12 @@ def tight_cycle(n: int) -> Hypergraph3:
     """Edges {i, i+1, i+2} mod n."""
     if n < 5:
         raise ValueError("tight_cycle needs n >= 5")
+    return from_triple_array(n, _cycle_triples(n))
+
+
+def _cycle_triples(n: int) -> np.ndarray:
     i = np.arange(n, dtype=np.int64)
-    arr = np.stack([i, (i + 1) % n, (i + 2) % n], axis=1)
-    return from_triple_array(n, arr)
+    return np.stack([i, (i + 1) % n, (i + 2) % n], axis=1)
 
 
 def random(n: int, p: float, seed: int) -> Hypergraph3:
@@ -142,39 +146,26 @@ def _biased_colouring(n: int, p: float, seed: int, xy_edges: bool) -> Hypergraph
     red |= red.T
 
     chunks: list[np.ndarray] = []
-    idx = np.arange(g)
     for i in range(g):
-        ri = red[i]
-        for j in range(i + 1, g):
-            ks = idx[j + 1 :]
-            if red[i, j]:
-                hits = ks[ri[ks] & red[j, ks]]
-            else:
-                hits = ks[~ri[ks] & ~red[j, ks]]
-            if len(hits):
-                tri = np.empty((len(hits), 3), dtype=np.int64)
-                tri[:, 0] = i
-                tri[:, 1] = j
-                tri[:, 2] = hits
-                chunks.append(tri)
-    ri_, rj_ = np.nonzero(np.triu(red, k=1))
-    bi_, bj_ = np.nonzero(np.triu(~red, k=1) & (np.arange(g)[:, None] < np.arange(g)[None, :]))
-    for apex, (ai, aj) in ((x, (ri_, rj_)), (y, (bi_, bj_))):
-        if len(ai):
-            tri = np.empty((len(ai), 3), dtype=np.int64)
-            tri[:, 0] = ai
-            tri[:, 1] = aj
-            tri[:, 2] = apex
-            chunks.append(tri)
+        # (i, j, k) with i < j < k is monochromatic iff red[i, j], red[i, k]
+        # and red[j, k] all agree
+        ri = red[i, i + 1 :]
+        mono = (ri[:, None] == ri[None, :]) & (red[i + 1 :, i + 1 :] == ri[:, None])
+        j, k = np.nonzero(np.triu(mono, 1))
+        chunks.append(_rows(i, j + i + 1, k + i + 1))
+    for apex, colour in ((x, red), (y, ~red)):
+        ai, aj = np.nonzero(np.triu(colour, 1))
+        chunks.append(_rows(ai, aj, apex))
     if xy_edges:
-        vs = np.arange(g, dtype=np.int64)
-        tri = np.empty((g, 3), dtype=np.int64)
-        tri[:, 0] = vs
-        tri[:, 1] = x
-        tri[:, 2] = y
-        chunks.append(tri)
-    arr = np.concatenate(chunks) if chunks else np.zeros((0, 3), dtype=np.int64)
-    return from_triple_array(n, arr)
+        chunks.append(_rows(np.arange(g), x, y))
+    return from_triple_array(n, np.concatenate(chunks))
+
+
+def _rows(*cols) -> np.ndarray:
+    """Triples whose three columns are ``cols`` broadcast together, in C
+    order of the broadcast shape."""
+    arr = np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, 3)
+    return arr.astype(np.int64, copy=False)
 
 
 def example1(n: int, seed: int, include_xy_edges: bool = False) -> Hypergraph3:
@@ -194,25 +185,27 @@ def hp_construction(n: int, p: float, seed: int, include_xy_edges: bool = True) 
 # -- canonical gadgets -------------------------------------------------------
 
 
+def _transversals(triples: np.ndarray, t: int, a: int, b: int) -> np.ndarray:
+    """The t**3 transversal triples of every edge in ``triples``, the j-th
+    clone of vertex v labelled ``v*a + j*b``."""
+    c = triples[:, :, None] * a + np.arange(t) * b  # edge x slot x clone
+    return _rows(c[:, 0, :, None, None], c[:, 1, None, :, None], c[:, 2, None, None, :])
+
+
 def k333() -> Hypergraph3:
     """Complete 3-partite hypergraph on parts {0,3,6}, {1,4,7}, {2,5,8}
     (all transversal triples); vertex 3i+j sits in part j."""
-    triples = []
-    for a in (0, 3, 6):
-        for b in (1, 4, 7):
-            for c in (2, 5, 8):
-                triples.append((a, b, c))
-    return from_triple_array(9, np.array(triples, dtype=np.int64))
+    return from_triple_array(9, _transversals(np.array([[0, 1, 2]]), 3, 1, 3))
 
 
 def k333_base_ordering() -> list[int]:
     """Nine-vertex ordering threading all three parts as a tight path."""
-    return [0, 1, 2, 3, 4, 5, 6, 7, 8]
+    return k333_path_orderings(tuple(range(9)))[0]
 
 
 def k333_skip_ordering() -> list[int]:
     """Six-vertex ordering with the middle transversal removed; same ends."""
-    return [0, 1, 2, 6, 7, 8]
+    return k333_path_orderings(tuple(range(9)))[1]
 
 
 def c8() -> Hypergraph3:
@@ -226,28 +219,15 @@ def c8_blowup(t: int = 4) -> Hypergraph3:
     ``layer*8 + position`` is the layer-th clone of cycle position."""
     if t < 1:
         raise ValueError("class size must be >= 1")
-    triples = []
-    for i in range(8):
-        cls = [
-            [layer * 8 + (i + off) % 8 for layer in range(t)] for off in range(3)
-        ]
-        for a in cls[0]:
-            for b in cls[1]:
-                for c in cls[2]:
-                    triples.append((a, b, c))
-    return from_triple_array(8 * t, np.array(triples, dtype=np.int64))
+    return from_triple_array(8 * t, _transversals(_cycle_triples(8), t, 1, 8))
 
 
 def c8_blowup_ordering(t: int = 4, drop_layers: tuple[int, ...] = ()) -> list[int]:
     """Tight-path ordering of the blow-up: layer 0 around the cycle, then
     layer 1, and so on.  ``drop_layers`` removes whole layers (classic choices
     at t=4: drop (1,) for 24 vertices, drop (1, 2) for 16), preserving ends."""
-    order = []
-    for layer in range(t):
-        if layer in drop_layers:
-            continue
-        order.extend(layer * 8 + i for i in range(8))
-    return order
+    classes = [[layer * 8 + i for layer in range(t)] for i in range(8)]
+    return blowup_path_ordering(classes, drop_layers)
 
 
 def blowup(H: Hypergraph3, t: int) -> Hypergraph3:
@@ -255,11 +235,4 @@ def blowup(H: Hypergraph3, t: int) -> Hypergraph3:
     cloned edges (clone of v is v*t + j)."""
     if t < 1:
         raise ValueError("blow-up factor must be >= 1")
-    triples = []
-    for a, b, c in H.triples.tolist():
-        for i in range(t):
-            for j in range(t):
-                for k in range(t):
-                    triples.append((a * t + i, b * t + j, c * t + k))
-    arr = np.array(triples, dtype=np.int64) if triples else np.zeros((0, 3), dtype=np.int64)
-    return from_triple_array(H.n * t, arr)
+    return from_triple_array(H.n * t, _transversals(H.triples, t, t, 1))

@@ -36,6 +36,7 @@ from .motifs import (
     find_c8_blowup,
     find_k333,
     is_connectable,
+    k333_path_orderings,
 )
 
 __all__ = [
@@ -329,12 +330,10 @@ class Absorber:
         return self.K + tuple(v for link in self.links for v in link)
 
     def k_path_full(self) -> list[int]:
-        return list(self.K)
+        return k333_path_orderings(self.K)[0]
 
     def k_path_short(self) -> list[int]:
-        x1, x2, x3 = self.K[0:3]
-        z1, z2, z3 = self.K[6:9]
-        return [x1, x2, x3, z1, z2, z3]
+        return k333_path_orderings(self.K)[1]
 
     def link_path(self, i: int, middle: Optional[int] = None) -> list[int]:
         a, b, c, d = self.links[i]
@@ -884,9 +883,8 @@ def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, at):
         seq.extend(conns[i])
         if i + 1 < k:
             seq.extend(pieces[i + 1].vertices)
-    if not verify_tight_cycle(H, seq):
-        at["fail_stage"] = "final_verify"
-        return None
+    if len(seq) != H.n or not verify_tight_cycle(H, seq):
+        raise UncertifiedResult("the assembled cycle failed re-verification")
     return TightPath(tuple(seq), is_cycle=True)
 
 

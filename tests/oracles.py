@@ -13,9 +13,16 @@ from itertools import combinations, permutations
 import numpy as np
 
 from tightcycles._pykernels import _ctz, ee_pair_list
+from tightcycles.constructions import _rng
 from tightcycles.density import as_density_fraction, ee_value
 from tightcycles.hamilton import Absorber, _eligible_probe, is_absorber
-from tightcycles.hypercore import bits, mask_of, verify_tight_path
+from tightcycles.hypercore import (
+    Hypergraph3,
+    bits,
+    from_triple_array,
+    mask_of,
+    verify_tight_path,
+)
 from tightcycles.motifs import blowup_path_ordering, find_k333
 from tightcycles.oracle import (  # noqa: F401  (re-exported)
     brute_ev_raw,
@@ -641,3 +648,57 @@ def _ee_alternating(H, p, q, seed, restarts, budget):
             best_val = val
             best = (P, Q)
     return best, used
+
+
+# -- the former two-colouring construction -------------------------------------
+
+
+def biased_colouring_reference(n: int, p: float, seed: int, xy_edges: bool) -> Hypergraph3:
+    """Colour the complete graph on n-2 vertices red with probability p; the
+    hyperedges are the monochromatic triangles plus two apex vertices whose
+    links are the red and the blue graph respectively.  The former builder:
+    one numpy chunk per colour pair."""
+    if n < 5:
+        raise ValueError("construction needs n >= 5")
+    g = n - 2
+    x, y = n - 2, n - 1
+    rng = _rng(seed)
+    red = np.zeros((g, g), dtype=bool)
+    iu = np.triu_indices(g, k=1)
+    red[iu] = rng.random(len(iu[0])) < p
+    red |= red.T
+
+    chunks: list[np.ndarray] = []
+    idx = np.arange(g)
+    for i in range(g):
+        ri = red[i]
+        for j in range(i + 1, g):
+            ks = idx[j + 1 :]
+            if red[i, j]:
+                hits = ks[ri[ks] & red[j, ks]]
+            else:
+                hits = ks[~ri[ks] & ~red[j, ks]]
+            if len(hits):
+                tri = np.empty((len(hits), 3), dtype=np.int64)
+                tri[:, 0] = i
+                tri[:, 1] = j
+                tri[:, 2] = hits
+                chunks.append(tri)
+    ri_, rj_ = np.nonzero(np.triu(red, k=1))
+    bi_, bj_ = np.nonzero(np.triu(~red, k=1) & (np.arange(g)[:, None] < np.arange(g)[None, :]))
+    for apex, (ai, aj) in ((x, (ri_, rj_)), (y, (bi_, bj_))):
+        if len(ai):
+            tri = np.empty((len(ai), 3), dtype=np.int64)
+            tri[:, 0] = ai
+            tri[:, 1] = aj
+            tri[:, 2] = apex
+            chunks.append(tri)
+    if xy_edges:
+        vs = np.arange(g, dtype=np.int64)
+        tri = np.empty((g, 3), dtype=np.int64)
+        tri[:, 0] = vs
+        tri[:, 1] = x
+        tri[:, 2] = y
+        chunks.append(tri)
+    arr = np.concatenate(chunks) if chunks else np.zeros((0, 3), dtype=np.int64)
+    return from_triple_array(n, arr)

@@ -43,8 +43,9 @@ def criterion_5_result():
 @pytest.mark.xfail(
     strict=True,
     reason="minimum degree/codegree concentration at n=300 misses the ±0.03 "
-    "tolerance for p in {0.5, 2/3}; the construction itself is "
-    "cross-validated against a direct rebuild in the constructions tests",
+    "tolerance for p in {0.5, 2/3}; the construction itself is rebuilt "
+    "from its definition in test_constructions.py::"
+    "test_biased_colouring_from_definition",
 )
 def test_criterion_5_biased_degree_formulas(criterion_5_result):
     assert _report(criterion_5_result)

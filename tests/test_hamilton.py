@@ -5,6 +5,7 @@ from oracles import find_absorber_reference
 from tightcycles import constructions as cons
 from tightcycles import hamilton as ham
 from tightcycles import oracle as orc
+from tightcycles.errors import UncertifiedResult
 from tightcycles.hypercore import verify_tight_cycle, verify_tight_path
 
 # -- connect -----------------------------------------------------------------
@@ -413,6 +414,26 @@ def test_pipeline_dense_random_36():
     assert cyc is not None
     assert verify_tight_cycle(H, cyc.vertices)
     assert len(cyc) == 36
+
+
+@pytest.mark.parametrize("seed,trim", [(39, 1), (4, 2)])
+def test_pipeline_parity_trim(seed, trim):
+    """Stage 5's parity repair: the first attempt succeeds only after
+    trimming ``trim`` vertices off a covered path end."""
+    H = cons.random(36, 0.9, seed)
+    cyc, trace = ham.find_tight_hamilton(H, ham.PipelineParams(seed=seed))
+    assert trace["success_attempt"] == 0
+    assert trace["attempts"][0]["trim"] == trim
+    assert sorted(cyc.vertices) == list(range(36))
+    assert verify_tight_cycle(H, cyc.vertices)
+
+
+def test_pipeline_refuses_a_cycle_that_misses_vertices(monkeypatch):
+    """An absorption that drops its leftover still closes a tight cycle, on
+    33 of the 36 vertices here; the final check refuses it."""
+    monkeypatch.setattr(ham, "absorb", lambda H, A, U, trace=None: A.path)
+    with pytest.raises(UncertifiedResult):
+        ham.find_tight_hamilton(cons.random(36, 0.9, 4), ham.PipelineParams(seed=4))
 
 
 def test_pipeline_two_colouring_absent_and_oracle_confirms():

@@ -182,6 +182,14 @@ expect_uncertified("find_tight_hamilton", lambda: hamilton.find_tight_hamilton(K
 hamilton.verify_tight_path = lambda H, seq: False
 write_h3(K, "k30.h3")
 code = cli.main(["hamilton", "connect", "--from", "0,1", "--to", "2,3", "k30.h3"])
+if code != 4:
+    raise SystemExit("hamilton connect exited %d" % code)
+
+# the assembled cycle is the last check: a failure there raises, not "absent"
+hamilton.verify_tight_path = real
+hamilton.verify_tight_cycle = lambda H, seq: False
+expect_uncertified("final cycle", lambda: hamilton.find_tight_hamilton(K, params))
+code = cli.main(["hamilton", "find", "k30.h3"])
 print(json.dumps({"code": code}))
 """
 
