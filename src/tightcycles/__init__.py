@@ -2,7 +2,6 @@
 pipeline for tight Hamilton cycles in 3-uniform hypergraphs."""
 
 from .hypercore import (
-    Graph,
     Hypergraph3,
     PairSet,
     TightPath,
@@ -12,7 +11,6 @@ from .hypercore import (
     min_codegree,
     min_degree,
     read_h3,
-    shadow_between,
     verify_tight_cycle,
     verify_tight_path,
     write_h3,
@@ -21,7 +19,6 @@ from .hypercore import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph",
     "Hypergraph3",
     "PairSet",
     "TightPath",
@@ -31,7 +28,6 @@ __all__ = [
     "min_codegree",
     "min_degree",
     "read_h3",
-    "shadow_between",
     "verify_tight_cycle",
     "verify_tight_path",
     "write_h3",

@@ -22,7 +22,7 @@ def _ctz(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def tight_hamilton_cycle(n: int, nbr: list[int]) -> list[int] | None:
+def tight_hamilton_cycle(n: int, nbr: tuple[int, ...]) -> list[int] | None:
     """Find a tight Hamilton cycle, or None.
 
     ``nbr[u*n+v]`` is the bitmask of vertices w with {u,v,w} an edge.

@@ -1,4 +1,4 @@
-"""Uniform-density deviations (vvv / ev / ee) and regularity utilities.
+"""Uniform-density deviations (vvv / ev / ee) and their exact recounts.
 
 Each deviation reports the worst signed slack ``raw`` found over the notion's
 test families, the witness realising it, and ``rho_hat = max(0, -raw)/n^3``.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 from typing import Iterable, Optional
 
 import numpy as np
@@ -30,11 +29,10 @@ import numpy as np
 from . import kernels
 from ._pykernels import _wide
 from .errors import BudgetError
-from .hypercore import Graph, Hypergraph3, PairSet, mask_bools, mask_of
+from .hypercore import Hypergraph3, mask_bools, mask_of
 
 __all__ = [
     "DeviationReport",
-    "RegularPairReport",
     "EV_EXACT_MAX_N",
     "VVV_EXACT_MAX_N",
     "EE_EXACT_MAX_N",
@@ -44,9 +42,6 @@ __all__ = [
     "ev_value",
     "vvv_value",
     "ee_value",
-    "restricted_degree_filter",
-    "find_regular_pair",
-    "partite_shadow_sizes",
 ]
 
 EV_EXACT_MAX_N = 24
@@ -100,25 +95,6 @@ class DeviationReport:
             "raw_num": self.raw_fraction[0],
             "raw_den": self.raw_fraction[1],
             "samples": self.samples,
-        }
-
-
-@dataclass
-class RegularPairReport:
-    V1: list
-    V2: list
-    eta: float
-    density: float
-    certified: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "V1": self.V1,
-            "V2": self.V2,
-            "eta": self.eta,
-            "density": self.density,
-            "certified": self.certified,
         }
 
 
@@ -493,117 +469,3 @@ def _ee_alternating(H, p, q, seed, restarts, budget):
             best_val = val
             best = (P, Q)
     return best, used
-
-
-# -- regularity utilities ----------------------------------------------------
-
-
-def restricted_degree_filter(H: Hypergraph3, X: Iterable[int], P: PairSet, d, rho) -> set:
-    """Vertices x in X whose pair neighbourhood inside P falls below
-    (d - sqrt(rho)) |P|."""
-    if not P.ordered:
-        raise ValueError("P must be an ordered PairSet")
-    dv = float(as_density_fraction(d))
-    thr = (dv - sqrt(rho)) * len(P)
-    xs = set(X)
-    out = set()
-    for x in xs:
-        cnt = sum(1 for y, z in P.members if (H.nbr_mask(y, z) >> x) & 1)
-        if cnt < thr:
-            out.add(x)
-    return out
-
-
-def partite_shadow_sizes(H: Hypergraph3, V1, V2, V3) -> tuple[int, int]:
-    """Shadow sizes |∂H[V1,V3]| and |∂H[V2,V3]| for three disjoint equal parts."""
-    s1, s2, s3 = set(V1), set(V2), set(V3)
-    if s1 & s2 or s1 & s3 or s2 & s3:
-        raise ValueError("parts must be pairwise disjoint")
-    if not (len(s1) == len(s2) == len(s3)):
-        raise ValueError("parts must have equal sizes")
-
-    def count(a, b):
-        return sum(1 for u in a for v in b if H.nbr_mask(u, v))
-
-    return count(s1, s3), count(s2, s3)
-
-
-def find_regular_pair(
-    G: Graph,
-    eta: float,
-    d: float,
-    seed: int = 0,
-    probes: int = 40,
-) -> RegularPairReport:
-    """Probe for an equal-size disjoint pair (V1, V2) with no irregularity
-    witness; on a witness, recurse into the densest quadrant (density
-    increment).  The result is never certified, only probe-clean."""
-    n = G.n
-    if G.edge_count() < d * n * n / 2:
-        raise ValueError("graph too sparse for the requested density")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(n).tolist()
-    half = n // 2
-    V1, V2 = order[:half], order[half : 2 * half]
-
-    max_depth = min(int(4 / max(eta * eta, 1e-6)) + 4, 64)
-    for _ in range(max_depth):
-        k = len(V1)
-        if k < 4:
-            break
-        m1, m2 = mask_of(V1), mask_of(V2)
-        dens = G.count_between(m1, m2) / (k * k)
-        witness = _probe_irregularity(G, V1, V2, dens, eta, rng, probes)
-        if witness is None:
-            return RegularPairReport(sorted(V1), sorted(V2), eta, dens, False)
-        X, Y = witness
-        bestq = None
-        for A in (X, [v for v in V1 if v not in set(X)]):
-            for B in (Y, [v for v in V2 if v not in set(Y)]):
-                if len(A) < 2 or len(B) < 2:
-                    continue
-                qd = G.count_between(mask_of(A), mask_of(B)) / (len(A) * len(B))
-                if bestq is None or qd > bestq[0]:
-                    bestq = (qd, A, B)
-        if bestq is None:
-            break
-        _, A, B = bestq
-        s = min(len(A), len(B))
-        V1, V2 = sorted(A)[:s], sorted(B)[:s]
-    k = len(V1)
-    dens = G.count_between(mask_of(V1), mask_of(V2)) / max(k * k, 1)
-    return RegularPairReport(sorted(V1), sorted(V2), eta, dens, False)
-
-
-def _probe_irregularity(G, V1, V2, dens, eta, rng, probes):
-    k = len(V1)
-    tol = eta * k * k
-
-    def deviation(X, Y):
-        if not X or not Y:
-            return 0.0, None
-        e = G.count_between(mask_of(X), mask_of(Y))
-        return abs(e - dens * len(X) * len(Y)), (X, Y)
-
-    candidates = []
-    for _ in range(probes):
-        X = [v for v in V1 if rng.random() < 0.5]
-        Y = [v for v in V2 if rng.random() < 0.5]
-        candidates.append((X, Y))
-    m2 = mask_of(V2)
-    m1 = mask_of(V1)
-    by_deg1 = sorted(V1, key=lambda v: -(G.adj[v] & m2).bit_count())
-    by_deg2 = sorted(V2, key=lambda v: -(G.adj[v] & m1).bit_count())
-    for fx in (0.25, 0.5, 0.75):
-        for fy in (0.25, 0.5, 0.75):
-            candidates.append(
-                (by_deg1[: max(1, int(fx * k))], by_deg2[: max(1, int(fy * k))])
-            )
-    worst = (0.0, None)
-    for X, Y in candidates:
-        dev, w = deviation(X, Y)
-        if dev > worst[0]:
-            worst = (dev, w)
-    if worst[0] > tol:
-        return worst[1]
-    return None

@@ -128,6 +128,8 @@ def connect(
     z, w = to_pair
     if len({x, y, z, w}) != 4:
         raise ValueError("endpoint vertices must be four distinct vertices")
+    if not all(0 <= v < H.n for v in (x, y, z, w)):
+        raise ValueError(f"endpoint vertices must lie in 0..{H.n - 1}")
     endmask = mask_of((x, y, z, w))
     allowed_mask = mask_of(allowed) & ~endmask & H.vertex_mask()
     if lengths is None:

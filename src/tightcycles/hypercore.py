@@ -17,13 +17,11 @@ __all__ = [
     "Hypergraph3",
     "PairSet",
     "TightPath",
-    "Graph",
     "from_edges",
     "degree",
     "codegree",
     "min_degree",
     "min_codegree",
-    "shadow_between",
     "verify_tight_path",
     "verify_tight_cycle",
     "first_violation",
@@ -60,10 +58,11 @@ def mask_bools(mask: int, n: int) -> np.ndarray:
 class Hypergraph3:
     """Immutable 3-uniform hypergraph, indexed by pair neighbourhoods.
 
-    The eager index maps each shadow pair key ``u*n+v`` (u < v), in ascending
-    key order, to the bitmask N(u, v).  The link index is built on first use:
-    CSR offsets plus a 3m x 2 pair array holding, for each vertex, its link
-    pairs in edge order.
+    The pair index is one tuple of n*n bitmasks, built eagerly: N(u, v) sits
+    at both ``u*n+v`` and ``v*n+u`` (one int object for the two), and every
+    other entry, the diagonal included, is 0.  The link index is built on
+    first use: CSR offsets plus a 3m x 2 pair array holding, for each vertex,
+    its link pairs in edge order.
     """
 
     __slots__ = (
@@ -85,28 +84,28 @@ class Hypergraph3:
 
     # -- construction -------------------------------------------------
 
-    def _build_pair_index(self) -> dict[int, int]:
+    def _build_pair_index(self) -> tuple[int, ...]:
         n = self.n
-        t = self.triples
-        if len(t) == 0:
-            return {}
-        # incidences (pair key u*n+v with u<v, third vertex)
-        keys = np.concatenate(
-            [t[:, 0] * n + t[:, 1], t[:, 0] * n + t[:, 2], t[:, 1] * n + t[:, 2]]
-        )
-        thirds = np.concatenate([t[:, 2], t[:, 1], t[:, 0]])
-        uniq, ridx = np.unique(keys, return_inverse=True)
+        # every (pair key u*n+v with u<v, third vertex) incidence is distinct,
+        # so summing the third vertices' bits ORs them into packed rows
+        a, b, c = self.triples.T
+        keys = np.concatenate([a * n + b, a * n + c, b * n + c])
+        thirds = np.concatenate([c, b, a])
         nbytes = (n + 7) // 8
-        rows = np.zeros((len(uniq), nbytes), dtype=np.uint8)
-        np.bitwise_or.at(
-            rows.reshape(-1),
-            ridx * nbytes + (thirds >> 3),
-            (1 << (thirds & 7)).astype(np.uint8),
+        rows = np.bincount(
+            keys * nbytes + (thirds >> 3),
+            weights=1 << (thirds & 7),
+            minlength=n * n * nbytes,
+        ).astype(np.uint8).reshape(n * n, nbytes)
+        upper = np.flatnonzero(rows.any(axis=1))
+        masks = np.fromiter(
+            (int.from_bytes(r, "little") for r in rows[upper]), dtype=object, count=len(upper)
         )
-        out: dict[int, int] = {}
-        for i, key in enumerate(uniq):
-            out[int(key)] = int.from_bytes(rows[i].tobytes(), "little")
-        return out
+        u, v = np.divmod(upper, n)
+        flat = np.zeros(n * n, dtype=object)
+        flat[upper] = masks
+        flat[v * n + u] = masks
+        return tuple(flat.tolist())
 
     # -- basic queries -------------------------------------------------
 
@@ -119,34 +118,31 @@ class Hypergraph3:
 
     def has_edge(self, a: int, b: int, c: int) -> bool:
         """False for repeated or out-of-range vertices: N(u, v) never holds
-        u or v, and a repeated pair has no key in the index."""
+        u or v, and the diagonal entry N(u, u) is 0."""
         n = self.n
         if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
             return False
-        key = a * n + b if a < b else b * n + a
-        return bool(self._pair_nbr.get(key, 0) >> int(c) & 1)
+        return bool(self._pair_nbr[a * n + b] >> int(c) & 1)
 
     def nbr_mask(self, u: int, v: int) -> int:
-        """Bitmask of N(u, v), the third vertices completing an edge."""
-        if u > v:
-            u, v = v, u
-        return self._pair_nbr.get(u * self.n + v, 0)
+        """Bitmask of N(u, v), the third vertices completing an edge; 0 when
+        u == v.  Both vertices must lie in 0..n-1: this lookup is unchecked,
+        so callers validate vertices that come from outside."""
+        return self._pair_nbr[u * self.n + v]
 
     def pair_masks(self) -> Iterator[tuple[int, int, int]]:
         """(u, v, N(u, v)) for every shadow pair u < v, in ascending key order."""
         n = self.n
-        for key, mask in self._pair_nbr.items():
-            u, v = divmod(key, n)
-            yield u, v, mask
+        flat = self._pair_nbr
+        for u in range(n):
+            for v, mask in enumerate(flat[u * n + u + 1 : (u + 1) * n], u + 1):
+                if mask:
+                    yield u, v, mask
 
-    def nbr_flat(self) -> list[int]:
-        """N(u, v) at position u*n+v for every ordered pair, 0 on the
-        diagonal: the Hamilton DP's neighbourhood input."""
-        n = self.n
-        flat = [0] * (n * n)
-        for u, v, mask in self.pair_masks():
-            flat[u * n + v] = flat[v * n + u] = mask
-        return flat
+    def nbr_flat(self) -> tuple[int, ...]:
+        """The pair index itself: N(u, v) at position u*n+v for every ordered
+        pair, 0 on the diagonal.  The Hamilton DP's neighbourhood input."""
+        return self._pair_nbr
 
     def link_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The CSR link index ``(off, pairs)``: the link of v is
@@ -290,9 +286,8 @@ def min_codegree(H: Hypergraph3) -> int:
     n = H.n
     if n < 2:
         return 0
-    if len(H._pair_nbr) < n * (n - 1) // 2:
-        return 0  # some pair has empty neighbourhood
-    return min(m.bit_count() for m in H._pair_nbr.values())
+    flat = H._pair_nbr
+    return min(m.bit_count() for u in range(n) for m in flat[u * n + u + 1 : (u + 1) * n])
 
 
 # -- pair sets -----------------------------------------------------------
@@ -346,19 +341,6 @@ class PairSet:
             if not self.ordered:
                 out[b] = out.get(b, 0) | (1 << a)
         return out
-
-
-def shadow_between(H: Hypergraph3, V1: Iterable[int], V2: Iterable[int]) -> PairSet:
-    """Ordered pairs (v1, v2) in V1 x V2 whose unordered pair lies in the shadow."""
-    s1, s2 = set(V1), set(V2)
-    if s1 & s2:
-        raise ValueError("V1 and V2 must be disjoint")
-    pairs = []
-    for a in s1:
-        for b in s2:
-            if H.nbr_mask(a, b):
-                pairs.append((a, b))
-    return PairSet.from_ordered(pairs)
 
 
 # -- tight paths ----------------------------------------------------------
@@ -425,51 +407,6 @@ def verify_tight_path(H: Hypergraph3, seq: Sequence[int]) -> bool:
 
 def verify_tight_cycle(H: Hypergraph3, seq: Sequence[int]) -> bool:
     return first_violation(H, seq, cycle=True) is None
-
-
-# -- plain graphs ----------------------------------------------------------
-
-
-class Graph:
-    """Minimal undirected graph with bitmask adjacency (used for links and
-    the regular-pair probe)."""
-
-    __slots__ = ("n", "adj")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        self.n = n
-        self.adj = [0] * n
-        for a, b in edges:
-            self.add_edge(a, b)
-
-    def add_edge(self, a: int, b: int) -> None:
-        if a == b:
-            raise ValueError("loops not allowed")
-        self.adj[a] |= 1 << b
-        self.adj[b] |= 1 << a
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return bool(self.adj[a] >> b & 1)
-
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for a in range(self.n):
-            for b in bits(self.adj[a] >> (a + 1) << (a + 1)):
-                out.append((a, b))
-        return out
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def count_between(self, xmask: int, ymask: int) -> int:
-        """Edges (a,b) with a in X, b in Y; an edge inside X∩Y counts twice."""
-        total = 0
-        for a in bits(xmask):
-            total += (self.adj[a] & ymask).bit_count()
-        return total
 
 
 # -- .h3 serialisation ------------------------------------------------------

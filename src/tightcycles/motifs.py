@@ -34,7 +34,6 @@ __all__ = [
     "CountReport",
     "Turn",
     "clean",
-    "connectable_pairs",
     "is_connectable",
     "count_k4minus",
     "sample_k4minus",
@@ -124,40 +123,15 @@ def clean(H: Hypergraph3, beta: float) -> Hypergraph3:
     return _masks_to_hypergraph(H.n, _cleaned_masks(H, beta * H.n))
 
 
-def _high_codegree_masks(H: Hypergraph3, thr: float) -> list[int]:
-    """For each vertex y, the bitmask of z with codegree(y, z) >= thr."""
-    high = [0] * H.n
-    for u, v, m in H.pair_masks():
-        if m.bit_count() >= thr:
-            high[u] |= 1 << v
-            high[v] |= 1 << u
-    return high
-
-
 def is_connectable(H: Hypergraph3, x: int, y: int, beta: float) -> bool:
-    """Whether (x, y) is in ``connectable_pairs(H, beta)``: only the z in
-    N(x, y) are looked up, one codegree(y, z) each, instead of every pair."""
+    """Whether the ordered pair (x, y) is beta-connectable: at least beta*n
+    vertices z in N(x, y) have codegree(y, z) >= beta*n.  Note the asymmetry.
+    Only the z in N(x, y) are looked up, one codegree each."""
     thr = beta * H.n
     hits = sum(
         1 for z in bits(H.nbr_mask(x, y)) if H.nbr_mask(y, z).bit_count() >= thr
     )
     return hits >= thr
-
-
-def connectable_pairs(H: Hypergraph3, beta: float) -> PairSet:
-    """Ordered pairs (x, y) with at least beta*n extensions z such that xyz is
-    an edge and (y, z) has codegree at least beta*n.  Note the asymmetry."""
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
-    thr = beta * H.n
-    high = _high_codegree_masks(H, thr)
-    out = []
-    for u, v, m in H.pair_masks():
-        if (m & high[v]).bit_count() >= thr:
-            out.append((u, v))
-        if (m & high[u]).bit_count() >= thr:
-            out.append((v, u))
-    return PairSet.from_ordered(out)
 
 
 # -- apex-rooted 4-vertex motif ------------------------------------------------
@@ -614,15 +588,14 @@ def _grow_blowup(H, classes, t, budget, rng, avoid_mask: int = 0):
     k-1 x k+1, so placing a vertex updates four masks with at most t lookups
     each."""
     classes = [list(c) for c in classes]
-    n = H.n
-    pair_nbr = H._pair_nbr
+    nbr_mask = H.nbr_mask
     full = H.vertex_mask()
 
     def link(v: int, cls: list[int]) -> int:
         """AND of N(v, w) over w in cls; every vertex when cls is empty."""
         m = full
         for w in cls:
-            m &= pair_nbr.get(v * n + w if v < w else w * n + v, 0)
+            m &= nbr_mask(v, w)
         return m
 
     # negative class indices wrap round the cycle like the positive ones

@@ -13,7 +13,7 @@ import numpy as np
 from . import kernels
 from .density import as_density_fraction
 from .errors import BudgetError, UncertifiedResult
-from .hypercore import Hypergraph3, TightPath, bits, verify_tight_cycle
+from .hypercore import Hypergraph3, TightPath, bits, min_degree, verify_tight_cycle
 
 __all__ = [
     "OracleLimits",
@@ -49,7 +49,7 @@ def _dp_cycle(H: Hypergraph3, limits: OracleLimits) -> Optional[list[int]]:
     if H.n < 4:
         return None
     # a tight cycle puts every vertex into three edges
-    if H.n and min(int(x) for x in H._deg) < 3:
+    if min_degree(H) < 3:
         return None
     return kernels.backend().tight_hamilton_cycle(H.n, H.nbr_flat())
 
@@ -119,6 +119,8 @@ def count_paths_between(
     z, w = to_pair
     if len({x, y, z, w}) != 4:
         raise ValueError("endpoint vertices must be distinct")
+    if not all(0 <= v < H.n for v in (x, y, z, w)):
+        raise ValueError(f"endpoint vertices must lie in 0..{H.n - 1}")
     if inner < 0:
         raise ValueError("inner must be nonnegative")
     endmask = (1 << x) | (1 << y) | (1 << z) | (1 << w)

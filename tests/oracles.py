@@ -18,6 +18,7 @@ from tightcycles.density import as_density_fraction, ee_value
 from tightcycles.hamilton import Absorber, _eligible_probe, is_absorber
 from tightcycles.hypercore import (
     Hypergraph3,
+    PairSet,
     bits,
     from_triple_array,
     mask_of,
@@ -39,6 +40,32 @@ def dedupe_reference(arr) -> np.ndarray:
     return np.unique(np.sort(arr, axis=1), axis=0)
 
 
+def pair_index_reference(H) -> dict[int, int]:
+    """The former pair index: a dict mapping each shadow pair key u*n+v
+    (u < v), in ascending key order, to N(u, v)."""
+    n = H.n
+    t = H.triples
+    if len(t) == 0:
+        return {}
+    # incidences (pair key u*n+v with u<v, third vertex)
+    keys = np.concatenate(
+        [t[:, 0] * n + t[:, 1], t[:, 0] * n + t[:, 2], t[:, 1] * n + t[:, 2]]
+    )
+    thirds = np.concatenate([t[:, 2], t[:, 1], t[:, 0]])
+    uniq, ridx = np.unique(keys, return_inverse=True)
+    nbytes = (n + 7) // 8
+    rows = np.zeros((len(uniq), nbytes), dtype=np.uint8)
+    np.bitwise_or.at(
+        rows.reshape(-1),
+        ridx * nbytes + (thirds >> 3),
+        (1 << (thirds & 7)).astype(np.uint8),
+    )
+    out: dict[int, int] = {}
+    for i, key in enumerate(uniq):
+        out[int(key)] = int.from_bytes(rows[i].tobytes(), "little")
+    return out
+
+
 def link_pairs_reference(H) -> dict:
     """The former link cache: one Python pass over the triples, giving each
     vertex its k x 2 array of link pairs in edge order."""
@@ -54,6 +81,33 @@ def link_index_lists(H) -> tuple[list[int], list[int], list[int]]:
     """The link index as the Gray-walk references' ``(off, a, b)`` lists."""
     off, pairs = H.link_index()
     return off.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist()
+
+
+def _high_codegree_masks(H: Hypergraph3, thr: float) -> list[int]:
+    """For each vertex y, the bitmask of z with codegree(y, z) >= thr."""
+    high = [0] * H.n
+    for u, v, m in H.pair_masks():
+        if m.bit_count() >= thr:
+            high[u] |= 1 << v
+            high[v] |= 1 << u
+    return high
+
+
+def connectable_pairs(H: Hypergraph3, beta: float) -> PairSet:
+    """Ordered pairs (x, y) with at least beta*n extensions z such that xyz is
+    an edge and (y, z) has codegree at least beta*n.  Note the asymmetry.
+    The whole-host reference for ``motifs.is_connectable``."""
+    if not 0 < beta < 1:
+        raise ValueError("beta must lie in (0, 1)")
+    thr = beta * H.n
+    high = _high_codegree_masks(H, thr)
+    out = []
+    for u, v, m in H.pair_masks():
+        if (m & high[v]).bit_count() >= thr:
+            out.append((u, v))
+        if (m & high[u]).bit_count() >= thr:
+            out.append((v, u))
+    return PairSet.from_ordered(out)
 
 
 # -- the former exact kernels ------------------------------------------------------

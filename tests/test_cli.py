@@ -219,6 +219,23 @@ def test_oracle_count_paths_cli(tmp_path, capsys):
     assert json.loads(stdout)["result"]["count"] == 2
 
 
+@pytest.mark.parametrize("bad", ["0,12", "0,-1"])
+@pytest.mark.parametrize(
+    "command",
+    [("hamilton", "connect", "--seed", "0"), ("oracle", "count-paths", "--inner", "2")],
+    ids=["connect", "count-paths"],
+)
+def test_endpoint_outside_host_is_exit_3(tmp_path, capsys, command, bad):
+    # u*n+v would alias another pair: on 10 vertices, (0, 12) reads as (1, 2)
+    out = tmp_path / "k10.h3"
+    run(capsys, "gen", "--family", "complete", "--n", "10", "-o", str(out))
+    for ends in (("--from", bad, "--to", "5,6"), ("--from", "5,6", "--to", bad)):
+        code, stdout, stderr = run(capsys, *command, *ends, str(out))
+        assert code == 3 and stdout == ""
+        diag = json.loads(stderr)
+        assert diag["error"] == "ValueError" and "0..9" in diag["message"]
+
+
 def test_strict_requires_seed(tmp_path, capsys):
     out = tmp_path / "x.h3"
     with pytest.raises(SystemExit) as exc:

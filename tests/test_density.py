@@ -8,7 +8,6 @@ from oracles import brute_ee_raw, brute_ev_raw, brute_vvv_raw, vvv_value_referen
 from tightcycles import constructions as cons
 from tightcycles import density as dn
 from tightcycles.errors import BudgetError
-from tightcycles.hypercore import Graph, PairSet, from_edges
 
 
 def frac(report):
@@ -278,89 +277,3 @@ def test_complete_host_breaks_literal_hierarchy():
     d = Fraction(1, 5)
     assert frac(dn.ee_deviation(H, d, "exact")) == 0
     assert frac(dn.ev_deviation(H, d, "exact")) < 0
-
-
-# -- regularity utilities ------------------------------------------------------
-
-
-def test_restricted_degree_filter_cases():
-    H = cons.complete(6)
-    P = PairSet.from_ordered(
-        [(y, z) for y in range(1, 6) for z in range(1, 6) if y != z]
-    )
-    assert dn.restricted_degree_filter(H, range(1), P, 1.0, 0.01) == set()
-    E = cons.empty(6)
-    assert dn.restricted_degree_filter(E, range(6), P, 0.5, 0.01) == set(range(6))
-    H1 = from_edges(6, [(1, 2, 3)])
-    assert 0 in dn.restricted_degree_filter(H1, {0}, P, 0.9, 0.01)
-
-
-def test_partite_shadow_sizes():
-    m = 4
-    H = cons.complete(3 * m)
-    a, b, c = range(0, m), range(m, 2 * m), range(2 * m, 3 * m)
-    assert dn.partite_shadow_sizes(H, a, b, c) == (m * m, m * m)
-    assert dn.partite_shadow_sizes(cons.empty(3 * m), a, b, c) == (0, 0)
-    K = cons.k333()
-    assert dn.partite_shadow_sizes(K, (0, 3, 6), (1, 4, 7), (2, 5, 8)) == (9, 9)
-    with pytest.raises(ValueError):
-        dn.partite_shadow_sizes(H, range(3), range(3, 6), range(6, 11))
-
-
-def test_find_regular_pair_complete_bipartite():
-    n = 24
-    G = Graph(n, [(a, b) for a in range(12) for b in range(12, 24)])
-    rep = dn.find_regular_pair(G, eta=0.1, d=0.4, seed=1)
-    assert len(rep.V1) == len(rep.V2)
-    assert not set(rep.V1) & set(rep.V2)
-    assert rep.density == 1.0
-    assert not rep.certified
-    # the pair straddles the bipartition
-    assert set(rep.V1) <= set(range(12)) or set(rep.V1) <= set(range(12, 24))
-
-
-def test_find_regular_pair_complete_graph():
-    n = 20
-    G = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-    rep = dn.find_regular_pair(G, eta=0.1, d=0.9, seed=0)
-    assert rep.density == 1.0
-
-
-def test_find_regular_pair_random_passes_probes():
-    rng_edges = []
-    import numpy as np
-
-    rng = np.random.Generator(np.random.PCG64(5))
-    n = 30
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < 0.5:
-                rng_edges.append((a, b))
-    G = Graph(n, rng_edges)
-    rep = dn.find_regular_pair(G, eta=0.15, d=0.3, seed=2)
-    assert abs(rep.density - 0.5) < 0.2
-
-
-def test_find_regular_pair_random_bipartite():
-    import numpy as np
-
-    rng = np.random.Generator(np.random.PCG64(8))
-    half = 16
-    edges = [
-        (a, half + b)
-        for a in range(half)
-        for b in range(half)
-        if rng.random() < 0.5
-    ]
-    G = Graph(2 * half, edges)
-    rep = dn.find_regular_pair(G, eta=0.12, d=0.2, seed=3)
-    assert len(rep.V1) == len(rep.V2) >= 4
-    assert not rep.certified
-    # the probe-clean pair straddles the bipartition at the cross density
-    assert 0.3 <= rep.density <= 0.7
-
-
-def test_find_regular_pair_precondition():
-    G = Graph(10, [(0, 1)])
-    with pytest.raises(ValueError):
-        dn.find_regular_pair(G, eta=0.1, d=0.9)

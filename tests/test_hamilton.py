@@ -315,6 +315,17 @@ def test_pipeline_gadget_end_to_end():
     assert trace["attempts"][-1]["absorbing"]["gadget"]
 
 
+def test_pipeline_parity_gadget_shed():
+    """Parity repair through the opted-in gadget on a full pipeline run: the
+    absorption sheds the C8 blow-up's 8 vertices on the first attempt."""
+    H = cons.random(120, 0.92, 902)
+    cyc, trace = ham.find_tight_hamilton(H, ham.PipelineParams(seed=1, use_gadget=True))
+    assert trace["success_attempt"] == 0
+    assert trace["attempts"][0]["absorb"]["gadget_removed"] == 8
+    assert sorted(cyc.vertices) == list(range(120))
+    assert verify_tight_cycle(H, cyc.vertices)
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_default_pipeline_makes_no_gadget_search(seed, monkeypatch):
     def refuse(*args, **kwargs):

@@ -1,12 +1,15 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dedupe_reference, link_pairs_reference
+from oracles import dedupe_reference, link_pairs_reference, pair_index_reference
+import tightcycles
 from tightcycles import constructions as cons
 from tightcycles.hypercore import (
-    Graph,
     PairSet,
     TightPath,
     codegree,
@@ -18,7 +21,6 @@ from tightcycles.hypercore import (
     min_codegree,
     min_degree,
     read_h3,
-    shadow_between,
     verify_tight_cycle,
     verify_tight_path,
     pair_key,
@@ -96,28 +98,15 @@ def test_codegree_matches_short_path_count():
             assert cnt == codegree(H, u, v)
 
 
-def test_shadow_between_complete():
-    H = cons.complete(6)
-    ps = shadow_between(H, {0, 1}, {2, 3})
-    assert ps.ordered and len(ps) == 4
-
-
-def test_shadow_between_empty_and_single_edge():
-    assert len(shadow_between(from_edges(5, []), {0}, {1})) == 0
-    H = from_edges(4, [(0, 1, 2)])
-    assert len(shadow_between(H, {0}, {3})) == 0
-
-
-def test_shadow_between_disjointness_required():
-    with pytest.raises(ValueError):
-        shadow_between(cons.complete(5), {0, 1}, {1, 2})
-
-
 def test_shadow_symmetry():
+    # N(u, v) sits at both u*n+v and v*n+u, as one object
     H = cons.random(8, 0.5, 1)
-    a = shadow_between(H, {0, 1, 2}, {3, 4})
-    b = shadow_between(H, {3, 4}, {0, 1, 2})
-    assert {(x, y) for x, y in a.members} == {(y, x) for x, y in b.members}
+    flat = H.nbr_flat()
+    for u in range(8):
+        assert flat[u * 8 + u] == 0
+        for v in range(8):
+            assert H.nbr_mask(u, v) == H.nbr_mask(v, u)
+            assert flat[u * 8 + v] is flat[v * 8 + u]
 
 
 def test_verify_cycle_on_tight_cycle():
@@ -206,14 +195,6 @@ def test_h3_rejects_malformed(tmp_path):
     p.write_text("4 3\n0 1 2\n1 2 3\n2 1 0\n")
     with pytest.raises(ValueError, match="distinct"):
         read_h3(str(p))
-
-
-def test_graph_helpers():
-    G = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert G.has_edge(1, 0)
-    assert G.edge_count() == 3
-    assert G.degree(1) == 2
-    assert G.count_between(0b00011, 0b00100) == 1
 
 
 # -- the pair and link indices against the former builders and the raw rows ----
@@ -337,3 +318,46 @@ def test_pair_counts_match_the_masks(H):
             assert np.array_equal(C, C.T)
     T = np.asarray(rng.random((n, n)) < 0.5)
     assert np.array_equal(H.pair_counts(T.T), H.pair_counts(np.ascontiguousarray(T.T)))
+
+
+# -- the pair index against the former dict builder ----------------------------
+
+
+def _assert_pair_index_matches_reference(H):
+    n = H.n
+    want = [(*divmod(key, n), mask) for key, mask in pair_index_reference(H).items()]
+    assert list(H.pair_masks()) == want  # in order and masks
+    flat = H.nbr_flat()
+    assert type(flat) is tuple and len(flat) == n * n
+    assert flat is H.nbr_flat()
+    assert sum(1 for m in flat if m) == 2 * len(want)
+    for u, v, mask in want:
+        assert flat[u * n + v] is flat[v * n + u]
+    every_pair = len(want) == n * (n - 1) // 2
+    assert min_codegree(H) == (min((m.bit_count() for *_, m in want), default=0) if every_pair else 0)
+
+
+@pytest.mark.parametrize("H", INDEX_HOSTS)
+def test_pair_index_matches_former_builder(H):
+    _assert_pair_index_matches_reference(H)
+    for seed in range(3):
+        _assert_pair_index_matches_reference(from_triple_array(H.n, _scrambled_rows(H, seed)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cons.random(150, 0.85, 2), lambda: cons.hp_construction(300, 0.9, 5001)],
+    ids=["random150", "hp300"],
+)
+def test_pair_index_matches_former_builder_at_scale(make):
+    _assert_pair_index_matches_reference(make())
+
+
+def test_index_fields_stay_private_to_hypercore():
+    """Only ``hypercore`` reads the index's private fields; every other module
+    goes through its accessors."""
+    private = re.compile(r"\._(pair_nbr|deg|link_cache)\b")
+    modules = sorted(Path(tightcycles.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    readers = [p.name for p in modules if p.name != "hypercore.py" and private.search(p.read_text())]
+    assert readers == []

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    connectable_pairs,
     grow_blowup_reference,
     naive_cherry_count,
     naive_embedding_count,
@@ -73,12 +74,12 @@ def test_clean_beta_range():
 
 def test_connectable_complete():
     n = 8
-    cp = mt.connectable_pairs(cons.complete(n), (n - 2) / n - 1e-9)
+    cp = connectable_pairs(cons.complete(n), (n - 2) / n - 1e-9)
     assert len(cp) == n * (n - 1)
 
 
 def test_connectable_empty():
-    assert len(mt.connectable_pairs(cons.empty(6), 0.3)) == 0
+    assert len(connectable_pairs(cons.empty(6), 0.3)) == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -87,7 +88,7 @@ def test_cleaned_pairs_are_connectable(seed):
     beta = 0.2
     H = cons.random(11, 0.5, seed)
     C = mt.clean(H, beta)
-    cp = mt.connectable_pairs(H, beta)
+    cp = connectable_pairs(H, beta)
     for u, v, _ in C.pair_masks():
         assert (u, v) in cp and (v, u) in cp
 
@@ -110,7 +111,7 @@ def test_connectable_is_asymmetric_in_general():
 )
 @pytest.mark.parametrize("beta", [0.05, 0.2, 0.45])
 def test_is_connectable_matches_connectable_pairs(H, beta):
-    cp = mt.connectable_pairs(H, beta)
+    cp = connectable_pairs(H, beta)
     for x in range(H.n):
         for y in range(H.n):
             if x != y:
