@@ -4,8 +4,9 @@ deviation minimisations.
 The Hamilton kernel runs the subset DP on big-integer bitmaps (one bitmap
 per ordered end pair, one bit per visited set), which keeps it usable up to
 n around 16-18.  The deviation kernels read the dense 0/1 edge tensor and
-sweep their subsets as integer numpy arrays; ev takes its subsets in blocks
-of ``BLOCK`` rows, which bounds its memory at any n.
+sweep their subsets as 0/1 rows whose counts are float32 products (see
+:func:`int_matmul`); ev takes its subsets in blocks of ``BLOCK`` rows, which
+bounds its memory at any n.
 """
 
 from __future__ import annotations
@@ -112,6 +113,20 @@ def _wide(p: int, q: int, n: int):
     return np.int64 if 2 * (p + q) * n**3 < 2**63 else object
 
 
+def int_matmul(a, b) -> np.ndarray:
+    """``a @ b`` for arrays of non-negative integers, run in float32 BLAS and
+    returned as int64.
+
+    The rule for every count in this library: such a product may run in
+    float32 when each of its sums is at most 2^24, because every partial sum
+    is then an integer that float32 holds exactly (numpy's integer matmul has
+    no BLAS behind it).  The callers' sums are at most n or n^2.  Margins are
+    taken from the int64 result in ``_wide``'s dtype; a float32 array cast to
+    ``object`` would give Python floats.
+    """
+    return np.matmul(a, b, dtype=np.float32).astype(np.int64)
+
+
 def _rows(codes: np.ndarray, n: int) -> np.ndarray:
     """The 0/1 membership rows of the bitmasks ``codes`` over ``n`` vertices."""
     return (codes[:, None] >> np.arange(n, dtype=np.int64)) & 1
@@ -137,7 +152,7 @@ def ev_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int]:
         gray = i ^ (i >> 1)
         X = _rows(gray, n)
         k = X.sum(axis=1).astype(dt)
-        s = 2 * np.minimum(0, (X @ inc).astype(dt) * q - p * k[:, None]).sum(axis=1)
+        s = 2 * np.minimum(0, int_matmul(X, inc).astype(dt) * q - p * k[:, None]).sum(axis=1)
         j = int(np.argmin(s))
         if s[j] < best:
             best = int(s[j])
@@ -159,7 +174,8 @@ def vvv_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int, int]:
     Y = _rows(ygray, n)
     dt = _wide(p, q, n)
     ky = Y.sum(axis=1).astype(dt)
-    B = np.zeros((n, n), dtype=np.int64)
+    Y = Y.astype(np.float32)  # cast once, not on every product
+    B = np.zeros((n, n), dtype=np.float32)  # entries at most n, sums of Y @ B at most n^2
     best = 0
     bx = by = 0
     x = 0
@@ -170,7 +186,7 @@ def vvv_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int, int]:
         x ^= 1 << v
         kx += sign
         B += sign * T[v]
-        s = np.minimum(0, (Y @ B).astype(dt) * q - (p * kx) * ky[:, None]).sum(axis=1)
+        s = np.minimum(0, int_matmul(Y, B).astype(dt) * q - (p * kx) * ky[:, None]).sum(axis=1)
         t = int(np.argmin(s))
         if s[t] < best:
             best = int(s[t])
@@ -198,7 +214,7 @@ def ee_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int]:
     pmask = 0
     for y in range(n):
         others = [x for x in range(n) if x != y]
-        a = S @ T[y][np.ix_(others, others)]  # |S ∩ N(y, z)|
+        a = int_matmul(S, T[y][np.ix_(others, others)])  # |S ∩ N(y, z)|
         f = np.minimum(0, a.astype(dt) * q - p * (size - S).astype(dt)).sum(axis=1)
         t = int(np.argmin(f))
         total += int(f[t])

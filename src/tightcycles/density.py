@@ -7,19 +7,24 @@ vertex) and are only allowed below fixed budgets; heuristic and sampled modes
 are restricted searches whose witnesses are recounted exactly, so a reported
 violation is always genuine.
 
-Every search step and witness counts "how many thirds x of a pair lie in a
-set" with :meth:`Hypergraph3.pair_counts`; the recounts ``ev_value``,
-``vvv_value`` and ``ee_value`` stay independent of it.
+Every search step, restart score and witness counts "how many thirds x of a
+pair lie in a set" with :func:`hypercore.pair_counts`, a float32 product over
+the dense edge tensor.  Each ``*_deviation`` call builds that tensor once
+(4n^3 bytes), hands it to its search, its witness and, in exact mode, its
+kernel, and drops it on return.  The recounts ``ev_value``, ``vvv_value`` and
+``ee_value`` stay independent of it.
 
 The target density d is handled as a rational p/q throughout (floats are
 snapped to the nearest fraction with denominator <= 10^9), which makes raw
-values exactly reproducible from their witnesses.  Every margin comparison
-q*count < p*size takes its dtype from the exact kernels' rule (``_wide``):
-int64 while nothing can wrap, Python integers beyond.
+values exactly reproducible from their witnesses.  Every margin
+q*count - p*size, and every sum of margins that scores a restart, takes its
+dtype from the exact kernels' rule (``_wide``): int64 while nothing can wrap,
+Python integers beyond.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -29,7 +34,7 @@ import numpy as np
 from . import kernels
 from ._pykernels import _wide
 from .errors import BudgetError
-from .hypercore import Hypergraph3, mask_bools, mask_of
+from .hypercore import Hypergraph3, mask_bools, mask_of, pair_counts
 
 __all__ = [
     "DeviationReport",
@@ -170,11 +175,23 @@ def _report(notion, H, mode, dfrac, raw: Fraction, witness, exact, samples=None)
 # -- search helpers ----------------------------------------------------------
 
 
-def _below(a, b, p, q, n) -> np.ndarray:
-    """The margin test a*q < p*b, elementwise, in the dtype ``_wide`` picks
-    for (p, q, n), so no product wraps."""
+def _margin(a, b, p, q, n) -> np.ndarray:
+    """The margins q*a - p*b, elementwise, in the dtype ``_wide`` picks for
+    (p, q, n), so neither a margin nor a sum of n^2 margins wraps."""
     dt = _wide(p, q, n)
-    return np.asarray(a).astype(dt) * q < p * np.asarray(b).astype(dt)
+    return np.asarray(a).astype(dt) * q - p * np.asarray(b).astype(dt)
+
+
+def _search_budget(mode, samples, restarts):
+    """The proposal budget of a heuristic (None) or sampled search.  A budget
+    that would run no search is refused: it would report no violation."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if mode != "sampled":
+        return None
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    return samples
 
 
 def _pairs(M: np.ndarray) -> list[tuple[int, int]]:
@@ -193,11 +210,11 @@ def _offdiag(n: int, flags) -> np.ndarray:
 # -- ev ----------------------------------------------------------------------
 
 
-def _ev_witness(H, p, q, xmask):
+def _ev_witness(T, p, q, xmask):
     """X and its best P: the ordered pairs (y, z) with q*|N(y,z) ∩ X| < p*|X|."""
-    n = H.n
+    n = len(T)
     xb = mask_bools(xmask, n)
-    P = _below(H.pair_counts(xb), xmask.bit_count(), p, q, n)
+    P = _margin(pair_counts(T, xb), xmask.bit_count(), p, q, n) < 0
     np.fill_diagonal(P, False)
     return np.flatnonzero(xb).tolist(), _pairs(P)
 
@@ -225,14 +242,16 @@ def ev_deviation(
             raise BudgetError(
                 f"ev exact exceeds exact budget (n={H.n} > {EV_EXACT_MAX_N})"
             )
-        _, xmask = kernels.backend().ev_exact(H.edge_tensor(), p, q)
-        xs, P = _ev_witness(H, p, q, int(xmask))
+        T = H.edge_tensor()
+        _, xmask = kernels.backend().ev_exact(T, p, q)
+        xs, P = _ev_witness(T, p, q, int(xmask))
         raw = ev_value(H, dfrac, xs, P)
         return _report("ev", H, mode, dfrac, raw, {"X": xs, "P": P}, True)
 
-    budget = samples if mode == "sampled" else None
-    xmask, used = _ev_search(H, p, q, seed, restarts=restarts, budget=budget)
-    xs, P = _ev_witness(H, p, q, xmask)
+    budget = _search_budget(mode, samples, restarts)
+    T = H.edge_tensor()
+    xmask, used = _ev_search(H, T, p, q, seed, restarts=restarts, budget=budget)
+    xs, P = _ev_witness(T, p, q, xmask)
     raw = ev_value(H, dfrac, xs, P)
     return _report(
         "ev", H, mode, dfrac, raw, {"X": xs, "P": P}, False,
@@ -240,7 +259,7 @@ def ev_deviation(
     )
 
 
-def _ev_search(H, p, q, seed, restarts=32, budget=None):
+def _ev_search(H, T, p, q, seed, restarts=32, budget=None):
     """Local search over X; returns (best X mask, proposals evaluated).
 
     Each restart starts from the counts |N(y,z) ∩ X| of ``pair_counts`` and
@@ -268,7 +287,7 @@ def _ev_search(H, p, q, seed, restarts=32, budget=None):
         xb = np.ones(n, dtype=bool) if r == 0 else rng.random(n) < 0.5
         xmask = mask_of(np.flatnonzero(xb).tolist())
         k = xmask.bit_count()
-        cnt = H.pair_counts(xb)
+        cnt = pair_counts(T, xb)
         hist = np.bincount(cnt[upper], minlength=n)
         cnt = cnt.ravel()
         s = objective(hist, k)
@@ -303,9 +322,9 @@ def _ev_search(H, p, q, seed, restarts=32, budget=None):
 # -- vvv ---------------------------------------------------------------------
 
 
-def _vvv_margins(H, amask_bool, bmask_bool):
+def _vvv_margins(T, amask_bool, bmask_bool):
     """Per-vertex counts of ordered pairs (a, b) in A x B completing an edge."""
-    return H.pair_counts(bmask_bool) @ amask_bool
+    return pair_counts(T, bmask_bool) @ amask_bool
 
 
 def vvv_deviation(
@@ -330,14 +349,16 @@ def vvv_deviation(
             raise BudgetError(
                 f"vvv exact exceeds exact budget (n={H.n} > {VVV_EXACT_MAX_N})"
             )
-        _, xm, ym = kernels.backend().vvv_exact(H.edge_tensor(), p, q)
-        xs, ys, zs = _vvv_witness(H, p, q, mask_bools(int(xm), H.n), mask_bools(int(ym), H.n))
+        T = H.edge_tensor()
+        _, xm, ym = kernels.backend().vvv_exact(T, p, q)
+        xs, ys, zs = _vvv_witness(T, p, q, mask_bools(int(xm), H.n), mask_bools(int(ym), H.n))
         raw = vvv_value(H, dfrac, xs, ys, zs)
         return _report("vvv", H, mode, dfrac, raw, {"X": xs, "Y": ys, "Z": zs}, True)
 
-    budget = samples if mode == "sampled" else None
-    (xb, yb), used = _vvv_alternating(H, p, q, seed, restarts, budget)
-    xs, ys, zs = _vvv_witness(H, p, q, xb, yb)
+    budget = _search_budget(mode, samples, restarts)
+    T = H.edge_tensor()
+    (xb, yb), used = _vvv_alternating(T, p, q, seed, restarts, budget)
+    xs, ys, zs = _vvv_witness(T, p, q, xb, yb)
     raw = vvv_value(H, dfrac, xs, ys, zs)
     return _report(
         "vvv", H, mode, dfrac, raw, {"X": xs, "Y": ys, "Z": zs}, False,
@@ -345,44 +366,56 @@ def vvv_deviation(
     )
 
 
-def _vvv_best(H, p, q, a, b):
+def _vvv_slack(T, p, q, a, b):
+    """Per vertex v, the margin q*#{(x, y) in A x B : xyv an edge} - p*|A||B|."""
+    return _margin(_vvv_margins(T, a, b), int(a.sum()) * int(b.sum()), p, q, len(T))
+
+
+def _vvv_best(T, p, q, a, b):
     """The vertices v with q*#{(x, y) in A x B : xyv an edge} < p*|A||B|."""
-    return _below(_vvv_margins(H, a, b), int(a.sum()) * int(b.sum()), p, q, H.n)
+    return _vvv_slack(T, p, q, a, b) < 0
 
 
-def _vvv_witness(H, p, q, xb, yb):
+def _vvv_witness(T, p, q, xb, yb):
     """X, Y and their best Z, as sorted vertex lists."""
-    return [np.flatnonzero(v).tolist() for v in (xb, yb, _vvv_best(H, p, q, xb, yb))]
+    return [np.flatnonzero(v).tolist() for v in (xb, yb, _vvv_best(T, p, q, xb, yb))]
 
 
-def _vvv_alternating(H, p, q, seed, restarts, budget):
-    n = H.n
+def _vvv_descend(T, p, q, xb, yb, left):
+    """One restart: best responses Z to (X, Y), X to (Y, Z) and Y to (X, Z),
+    in rounds, until a round repeats (X, Y), 40 rounds pass or ``left`` best
+    responses are spent.  Returns X, Y, the best responses made, and the
+    score q * vvv_value(X, Y, Z) for their best Z: the sum of Z's margins."""
+    used = 0
+    prev = None
+    for _ in range(40):
+        zb = _vvv_best(T, p, q, xb, yb)
+        xb = _vvv_best(T, p, q, yb, zb)
+        yb = _vvv_best(T, p, q, xb, zb)
+        used += 3
+        state = (xb.tobytes(), yb.tobytes())
+        if state == prev or used >= left:
+            break
+        prev = state
+    slack = _vvv_slack(T, p, q, xb, yb)
+    return xb, yb, used, slack[slack < 0].sum()
+
+
+def _vvv_alternating(T, p, q, seed, restarts, budget):
+    n = len(T)
     rng = np.random.Generator(np.random.PCG64(seed))
-    best_val = Fraction(0)
+    left = math.inf if budget is None else budget
+    best_val = 0
     best = (np.zeros(n, dtype=bool),) * 2
     used = 0
-    dfrac = Fraction(p, q)
-    for r in range(max(restarts, 1)):
-        if budget is not None and used >= budget:
+    for r in range(restarts):
+        if used >= left:
             break
         xb, yb = (np.ones(n, dtype=bool) if r == 0 else rng.random(n) < 0.5 for _ in "xy")
-        prev = None
-        for _ in range(40):
-            zb = _vvv_best(H, p, q, xb, yb)
-            used += 1
-            # optimise X against (Y, Z)
-            xb = _vvv_best(H, p, q, yb, zb)
-            used += 1
-            yb = _vvv_best(H, p, q, xb, zb)
-            used += 1
-            state = (xb.tobytes(), yb.tobytes())
-            if state == prev or (budget is not None and used >= budget):
-                break
-            prev = state
-        val = vvv_value(H, dfrac, *_vvv_witness(H, p, q, xb, yb))
+        xb, yb, steps, val = _vvv_descend(T, p, q, xb, yb, left - used)
+        used += steps
         if val < best_val:
-            best_val = val
-            best = (xb, yb)
+            best_val, best = val, (xb, yb)
     return best, used
 
 
@@ -413,14 +446,15 @@ def ee_deviation(
             raise BudgetError(
                 f"ee exact exceeds exact budget (n={H.n} > {EE_EXACT_MAX_N})"
             )
-        _, pmask = kernels.backend().ee_exact(H.edge_tensor(), p, q)
+        T = H.edge_tensor()
+        _, pmask = kernels.backend().ee_exact(T, p, q)
         Pm = _offdiag(H.n, mask_bools(int(pmask), H.n * (H.n - 1)))
-        P, Q = _pairs(Pm), _pairs(_ee_best(H, p, q, Pm.T))
+        P, Q = _pairs(Pm), _pairs(_ee_best(T, p, q, Pm.T))
         raw = ee_value(H, dfrac, P, Q)
         return _report("ee", H, mode, dfrac, raw, {"P": P, "Q": Q}, True)
 
-    budget = samples if mode == "sampled" else None
-    (P, Q), used = _ee_alternating(H, p, q, seed, restarts, budget)
+    budget = _search_budget(mode, samples, restarts)
+    (P, Q), used = _ee_alternating(H.edge_tensor(), p, q, seed, restarts, budget)
     raw = ee_value(H, dfrac, P, Q)
     return _report(
         "ee", H, mode, dfrac, raw, {"P": P, "Q": Q}, False,
@@ -428,7 +462,17 @@ def ee_deviation(
     )
 
 
-def _ee_best(H, p, q, S):
+def _ee_slack(T, p, q, S):
+    """The margins of a best response to the sections in the rows of S:
+    entry [y, z] is q*|S_y ∩ N(y, z)| - p*|S_y ∖ {z}| for z != y, and 0 on
+    the diagonal, which holds no pair."""
+    S = np.asarray(S, dtype=bool)
+    M = _margin(pair_counts(T, S), S.sum(axis=1, keepdims=True) - S, p, q, len(T))
+    np.fill_diagonal(M, 0)
+    return M
+
+
+def _ee_best(T, p, q, S):
     """The best response to the sections in the rows of S, as an n x n
     boolean matrix: entry [y, z] is set iff z != y and
     q*|S_y ∩ N(y, z)| < p*|S_y ∖ {z}|.
@@ -436,36 +480,42 @@ def _ee_best(H, p, q, S):
     With S[y, x] = [(x, y) in P] it is the best Q against P; with S = Q, its
     transpose is the best P against Q.
     """
-    S = np.asarray(S, dtype=bool)
-    M = _below(H.pair_counts(S), S.sum(axis=1, keepdims=True) - S, p, q, H.n)
-    np.fill_diagonal(M, False)
-    return M
+    return _ee_slack(T, p, q, S) < 0
 
 
-def _ee_alternating(H, p, q, seed, restarts, budget):
-    n = H.n
-    rng = np.random.Generator(np.random.PCG64(seed))
-    dfrac = Fraction(p, q)
-    best_val = Fraction(0)
-    best = ([], [])
+def _ee_descend(T, p, q, Pm, left):
+    """One restart: best responses Q to P and P to Q, in rounds, until a round
+    repeats (P, Q), 40 rounds pass or ``left`` best responses are spent.
+    Returns P and Q as boolean matrices, the best responses made, and the
+    score q * ee_value(P, Q).  P is the best response to Q, so the score is
+    the sum of P's margins."""
     used = 0
-    for r in range(max(restarts, 1)):
-        if budget is not None and used >= budget:
+    prev = None
+    for _ in range(40):
+        Qm = _ee_best(T, p, q, Pm.T)
+        slack = _ee_slack(T, p, q, Qm)
+        Pm = (slack < 0).T
+        used += 2
+        state = (Pm.tobytes(), Qm.tobytes())
+        if state == prev or used >= left:
+            break
+        prev = state
+    return Pm, Qm, used, slack[slack < 0].sum()
+
+
+def _ee_alternating(T, p, q, seed, restarts, budget):
+    n = len(T)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    left = math.inf if budget is None else budget
+    best_val = 0
+    best = (np.zeros((n, n), dtype=bool),) * 2
+    used = 0
+    for r in range(restarts):
+        if used >= left:
             break
         Pm = _offdiag(n, True if r == 0 else rng.random(n * (n - 1)) < 0.5)
-        prev = None
-        for _ in range(40):
-            Qm = _ee_best(H, p, q, Pm.T)
-            used += 1
-            Pm = _ee_best(H, p, q, Qm).T
-            used += 1
-            state = (Pm.tobytes(), Qm.tobytes())
-            if state == prev or (budget is not None and used >= budget):
-                break
-            prev = state
-        P, Q = _pairs(Pm), _pairs(Qm)
-        val = ee_value(H, dfrac, P, Q)
+        Pm, Qm, steps, val = _ee_descend(T, p, q, Pm, left - used)
+        used += steps
         if val < best_val:
-            best_val = val
-            best = (P, Q)
-    return best, used
+            best_val, best = val, (Pm, Qm)
+    return (_pairs(best[0]), _pairs(best[1])), used

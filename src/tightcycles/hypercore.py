@@ -13,6 +13,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from ._pykernels import int_matmul
+
 __all__ = [
     "Hypergraph3",
     "PairSet",
@@ -25,6 +27,7 @@ __all__ = [
     "verify_tight_path",
     "verify_tight_cycle",
     "first_violation",
+    "pair_counts",
     "read_h3",
     "write_h3",
     "bits",
@@ -62,7 +65,8 @@ class Hypergraph3:
     at both ``u*n+v`` and ``v*n+u`` (one int object for the two), and every
     other entry, the diagonal included, is 0.  The link index is built on
     first use: CSR offsets plus a 3m x 2 pair array holding, for each vertex,
-    its link pairs in edge order.
+    its link pairs in edge order.  The dense edge tensor is built only on
+    request (:meth:`edge_tensor`) and never kept.
     """
 
     __slots__ = (
@@ -150,32 +154,17 @@ class Hypergraph3:
         if self._link_cache is None:
             t = self.triples
             # edge i contributes (b, c) to a, (a, c) to b and (a, b) to c, in
-            # that order, so a stable sort on the owner keeps edge order
+            # that order, so a stable sort on the owner keeps edge order; on
+            # the narrowest unsigned dtype that holds n it is a radix sort
             pairs = t[:, [1, 2, 0, 2, 0, 1]].reshape(-1, 2)
-            pairs = pairs[np.argsort(t.ravel(), kind="stable")]
+            owner = t.ravel().astype(np.min_scalar_type(self.n))
+            pairs = pairs[np.argsort(owner, kind="stable")]
             off = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(self._deg, out=off[1:])
             pairs.setflags(write=False)
             off.setflags(write=False)
             self._link_cache = (off, pairs)
         return self._link_cache
-
-    def pair_counts(self, S) -> np.ndarray:
-        """The n x n int64 matrix C with C[u, v] = sum of S[u, x] over x in
-        N(u, v), for a 0/1 n x n array S.  A length-n S weighs every row the
-        same, so C[u, v] = |N(u, v) ∩ S| and C is symmetric.  The diagonal is
-        0.  Built from the link index on each call and not cached."""
-        n = self.n
-        S = np.asarray(S, dtype=bool)
-        _, pairs = self.link_index()
-        x = np.repeat(np.arange(n), self._deg)  # the link owner: {a, b, x} is an edge
-        a, b = pairs.T
-        if S.ndim == 1:
-            C = np.bincount((a * n + b)[S[x]], minlength=n * n).reshape(n, n)
-            return C + C.T
-        flat = S.ravel()
-        keys = np.concatenate([(a * n + b)[flat[a * n + x]], (b * n + a)[flat[b * n + x]]])
-        return np.bincount(keys, minlength=n * n).reshape(n, n)
 
     def link_pairs(self, v: int) -> np.ndarray:
         """The link of ``v``: a read-only k x 2 array of pairs {a, b} with
@@ -186,14 +175,16 @@ class Hypergraph3:
         return pairs[off[v] : off[v + 1]]
 
     def edge_tensor(self) -> np.ndarray:
-        """The dense n x n x n int64 tensor T with T[a, b, c] = 1 iff {a, b, c}
-        is an edge: the exact deviation kernels' input.  Built on each call
-        and not cached; it is meant for the exact budgets (n <= 24)."""
-        T = np.zeros((self.n,) * 3, dtype=np.int64)
-        t = self.triples
-        for i, j, k in permutations(range(3)):
-            T[t[:, i], t[:, j], t[:, k]] = 1
-        return T
+        """The dense n x n x n float32 tensor T with T[a, b, c] = 1 iff
+        {a, b, c} is an edge, 0 elsewhere: the input of :func:`pair_counts`
+        and of the exact deviation kernels.  Built by one flat scatter on each
+        call and never cached, because it takes 4n^3 bytes (31 MB at
+        n = 200); a caller holds it for one search."""
+        n = self.n
+        T = np.zeros(n**3, dtype=np.float32)
+        # each row (a, b, c) marks its six orderings at flat (x*n + y)*n + z
+        T[(self.triples @ np.array(list(permutations((n * n, n, 1)))).T).ravel()] = 1
+        return T.reshape(n, n, n)
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -213,6 +204,19 @@ class Hypergraph3:
         return hash((self.n, self.triples.tobytes()))
 
 
+def pair_counts(T: np.ndarray, S) -> np.ndarray:
+    """The n x n int64 matrix C with C[u, v] = sum of S[u, x] over x in
+    N(u, v), read from the edge tensor ``T`` of :meth:`Hypergraph3.edge_tensor`
+    for a 0/1 n x n array S.  A length-n S weighs every row the same, so
+    C[u, v] = |N(u, v) ∩ S| and C is symmetric.  The diagonal is 0.  One
+    float32 product (its sums are at most n, see ``int_matmul``)."""
+    n = len(T)
+    S = np.asarray(S)
+    if S.ndim == 1:
+        return int_matmul(T.reshape(n * n, n), S).reshape(n, n)
+    return int_matmul(T, S[:, :, None]).reshape(n, n)
+
+
 def pair_key(u: int, v: int, n: int) -> int:
     """The index key ``min*n + max`` of the unordered pair {u, v}."""
     return u * n + v if u < v else v * n + u
@@ -225,9 +229,14 @@ def pair_of(key: int, n: int) -> tuple[int, int]:
 
 def _dedupe(n: int, arr: np.ndarray) -> np.ndarray:
     """Sort each row, drop repeated rows and order them lexicographically,
-    through the 1-D key (a*n+b)*n+c."""
-    arr = np.sort(arr, axis=1)
-    keys = np.sort((arr[:, 0] * n + arr[:, 1]) * n + arr[:, 2])
+    through the 1-D key (a*n+b)*n+c, as a fresh array.  Each sort runs only
+    when an O(m) check finds its input out of order."""
+    if not (np.all(arr[:, 0] < arr[:, 1]) and np.all(arr[:, 1] < arr[:, 2])):
+        arr = np.sort(arr, axis=1)
+    keys = (arr[:, 0] * n + arr[:, 1]) * n + arr[:, 2]
+    if np.all(keys[1:] > keys[:-1]):
+        return arr.copy()
+    keys = np.sort(keys)
     # a sort and a neighbour test beat np.unique, which hashes the keys first
     keys = keys[np.diff(keys, prepend=-1) != 0]
     ab, c = np.divmod(keys, n)

@@ -40,6 +40,17 @@ def dedupe_reference(arr) -> np.ndarray:
     return np.unique(np.sort(arr, axis=1), axis=0)
 
 
+def dedupe_sort_reference(n: int, arr: np.ndarray) -> np.ndarray:
+    """The former ``hypercore._dedupe``: a row sort and a key sort on every
+    call, whatever order the rows arrive in."""
+    arr = np.sort(arr, axis=1)
+    keys = np.sort((arr[:, 0] * n + arr[:, 1]) * n + arr[:, 2])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    ab, c = np.divmod(keys, n)
+    a, b = np.divmod(ab, n)
+    return np.stack([a, b, c], axis=1)
+
+
 def pair_index_reference(H) -> dict[int, int]:
     """The former pair index: a dict mapping each shadow pair key u*n+v
     (u < v), in ascending key order, to N(u, v)."""

@@ -70,6 +70,19 @@ def test_density_budget_error_is_exit_3(tmp_path, capsys):
     assert diag["error"] == "BudgetError"
 
 
+@pytest.mark.parametrize("notion", ["ev", "vvv", "ee"])
+def test_density_search_that_runs_nothing_is_exit_3(tmp_path, capsys, notion):
+    out = tmp_path / "ex1.h3"
+    run(capsys, "gen", "--family", "example1", "--n", "24", "--seed", "1", "-o", str(out))
+    for flags in (["--mode", "sampled", "--samples", "-5"],
+                  ["--mode", "sampled", "--samples", "0"],
+                  ["--mode", "heuristic", "--restarts", "0"]):
+        code, stdout, err = run(capsys, "density", "--notion", notion, "--d", "0.3",
+                                *flags, str(out))
+        assert code == 3 and stdout == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+
 def test_density_exact_json(tmp_path, capsys):
     out = tmp_path / "k4.h3"
     run(capsys, "gen", "--family", "complete", "--n", "4", "-o", str(out))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -199,13 +200,15 @@ def _ee_best_q_reference(H, p, q, S):
 
 
 def _reference_report(monkeypatch, notion, *args, **kwargs) -> dict:
-    """The report with every count taken by the former helpers."""
+    """The report with every count taken by the former helpers, which read
+    the host ``args[0]`` where the searches read its edge tensor."""
+    H = args[0]
     with monkeypatch.context() as m:
-        m.setattr(dn, "_ev_search", oracles._ev_search)
-        m.setattr(dn, "_ev_witness", oracles._ev_witness_from_mask)
-        m.setattr(dn, "_vvv_margins", oracles._vvv_margins)
-        m.setattr(dn, "_ee_alternating", oracles._ee_alternating)
-        m.setattr(dn, "_ee_best", _ee_best_q_reference)
+        m.setattr(dn, "_ev_search", lambda H, T, *a, **k: oracles._ev_search(H, *a, **k))
+        m.setattr(dn, "_ev_witness", lambda T, *a: oracles._ev_witness_from_mask(H, *a))
+        m.setattr(dn, "_vvv_margins", lambda T, *a: oracles._vvv_margins(H, *a))
+        m.setattr(dn, "_ee_alternating", lambda T, *a: oracles._ee_alternating(H, *a))
+        m.setattr(dn, "_ee_best", lambda T, *a: _ee_best_q_reference(H, *a))
         return getattr(dn, f"{notion}_deviation")(*args, **kwargs).to_dict()
 
 
@@ -242,6 +245,66 @@ def test_searches_match_the_former_helpers_on_tiny_hosts(monkeypatch, n):
                 args, kw = (H, Fraction(3, 10), mode), {"samples": 100, "seed": 3}
                 got = getattr(dn, f"{notion}_deviation")(*args, **kw).to_dict()
                 assert got == _reference_report(monkeypatch, notion, *args, **kw)
+
+
+# 3/10 and the huge-denominator densities of test_kernels.py, where the
+# margins and the restart scores are Python integers
+SCORE_DENSITIES = [
+    Fraction(3, 10),
+    Fraction(10**18 + 9, 4 * 10**18 + 1),
+    Fraction(10**29 + 7, 4 * 10**29),
+    Fraction(1, 3 * 10**18 + 1),
+]
+
+
+@pytest.mark.parametrize(
+    "H",
+    [cons.empty(6), cons.complete(7), cons.random(12, 0.5, 3), cons.example1(30, 2),
+     cons.hp_construction(24, 0.9, 1)],
+    ids=["empty6", "complete7", "random12", "example1", "hp24"],
+)
+def test_restart_scores_equal_the_recounts(H):
+    """Each restart's score, summed from the margins its last best response
+    computed, is q times the independent recount of its witness, on full and
+    on cut-short descents."""
+    n = H.n
+    T = H.edge_tensor()
+    rng = np.random.Generator(np.random.PCG64(n))
+    for d in SCORE_DENSITIES:
+        p, q = d.numerator, d.denominator
+        for start in range(4):
+            xb, yb = (np.ones(n, dtype=bool) if start == 0 else rng.random(n) < 0.5 for _ in "xy")
+            Pm = dn._offdiag(n, True if start == 0 else rng.random(n * (n - 1)) < 0.5)
+            for left in (math.inf, 3, 1):
+                x2, y2, used, score = dn._vvv_descend(T, p, q, xb, yb, left)
+                assert used < left + 3  # the budget is checked once a round
+                want = dn.vvv_value(H, d, *dn._vvv_witness(T, p, q, x2, y2))
+                assert Fraction(int(score), q) == want
+                P2, Q2, used, score = dn._ee_descend(T, p, q, Pm, left)
+                assert used < left + 2
+                want = dn.ee_value(H, d, dn._pairs(P2), dn._pairs(Q2))
+                assert Fraction(int(score), q) == want
+
+
+@pytest.mark.parametrize("notion", ["ev", "vvv", "ee"])
+def test_search_budgets_that_run_nothing_are_refused(notion):
+    """A heuristic search needs a restart and a sampled one a proposal too;
+    without them it would report no violation at all.  Exact mode runs no
+    search and ignores both."""
+    H = cons.example1(24, 1)
+    search = getattr(dn, f"{notion}_deviation")
+    for kw in ({"restarts": 0}, {"restarts": -3}):
+        with pytest.raises(ValueError, match="restarts"):
+            search(H, Fraction(3, 10), "heuristic", **kw)
+        with pytest.raises(ValueError, match="restarts"):
+            search(H, Fraction(3, 10), "sampled", samples=50, **kw)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            search(H, Fraction(3, 10), "sampled", samples=samples)
+    assert search(H, Fraction(3, 10), "heuristic", restarts=1).rho_hat > 0
+    assert search(H, Fraction(3, 10), "sampled", samples=1, restarts=1).samples >= 1
+    small = cons.random(5, 0.5, 1)
+    assert search(small, Fraction(3, 10), "exact", samples=0, restarts=0).exact
 
 
 # -- recounts ----------------------------------------------------------------

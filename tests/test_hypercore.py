@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dedupe_reference, link_pairs_reference, pair_index_reference
+from oracles import (
+    dedupe_reference,
+    dedupe_sort_reference,
+    link_pairs_reference,
+    pair_index_reference,
+)
 import tightcycles
 from tightcycles import constructions as cons
 from tightcycles.hypercore import (
@@ -17,9 +22,11 @@ from tightcycles.hypercore import (
     first_violation,
     from_edges,
     from_triple_array,
+    _dedupe,
     mask_of,
     min_codegree,
     min_degree,
+    pair_counts,
     read_h3,
     verify_tight_cycle,
     verify_tight_path,
@@ -245,12 +252,43 @@ def test_index_matches_former_builders(H):
             H.link_pairs(v)
 
 
+@pytest.mark.parametrize(
+    "H",
+    INDEX_HOSTS
+    + [
+        pytest.param(cons.random(40, 0.5, 6), id="random40"),
+        pytest.param(cons.hp_construction(30, 0.6, 7), id="hp30"),
+        pytest.param(cons.example1(25, 8, True), id="example1-xy"),
+    ],
+)
+def test_dedupe_matches_former_sorts(H):
+    """Every row order the checks can meet: sorted and distinct (both sorts
+    skipped), rows sorted but keys out of order or repeated (the row sort
+    skipped), and scrambled, repeated rows (neither skipped)."""
+    rng = np.random.Generator(np.random.PCG64(H.n))
+    t = H.triples
+    repeated = t[np.sort(rng.integers(len(t), size=len(t) // 2 + 1))] if len(t) else t
+    doubled = np.concatenate([t, repeated])
+    inputs = [t, t[::-1], t[rng.permutation(len(t))], doubled,
+              doubled[np.lexsort(doubled.T[::-1])], t[:, ::-1]]
+    inputs += [_scrambled_rows(H, seed) for seed in range(3)]
+    for arr in inputs:
+        arr = np.array(arr, dtype=np.int64).reshape(-1, 3)
+        before = arr.copy()
+        got = _dedupe(H.n, arr)
+        want = dedupe_sort_reference(H.n, arr)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(got, t)
+        assert not np.shares_memory(got, arr)
+        assert np.array_equal(arr, before)
+
+
 @pytest.mark.parametrize("H", INDEX_HOSTS)
 def test_has_edge_and_masks_match_raw_rows(H):
     n = H.n
     edges = {tuple(sorted(row)) for row in H.triples.tolist()}
     T = H.edge_tensor()
-    assert T.dtype == np.int64 and T.shape == (n, n, n)
+    assert T.dtype == np.float32 and T.shape == (n, n, n)
     vertices = range(-2, n + 2)
     for a in vertices:
         for b in vertices:
@@ -303,12 +341,13 @@ def test_pair_key_roundtrip():
 )
 def test_pair_counts_match_the_masks(H):
     n = H.n
+    T = H.edge_tensor()
     rng = np.random.Generator(np.random.PCG64(n))
     for S in (rng.random(n) < 0.5, np.ones(n, dtype=bool), rng.random((n, n)) < 0.5,
               (rng.random((n, n)) < 0.3).astype(np.int64)):
         rows = np.broadcast_to(S, (n, n))
         masks = [mask_of(np.flatnonzero(rows[u]).tolist()) for u in range(n)]
-        C = H.pair_counts(S)
+        C = pair_counts(T, S)
         assert C.dtype == np.int64 and C.shape == (n, n)
         for u in range(n):
             for v in range(n):
@@ -316,8 +355,8 @@ def test_pair_counts_match_the_masks(H):
         assert not np.diagonal(C).any()
         if S.ndim == 1:
             assert np.array_equal(C, C.T)
-    T = np.asarray(rng.random((n, n)) < 0.5)
-    assert np.array_equal(H.pair_counts(T.T), H.pair_counts(np.ascontiguousarray(T.T)))
+    S = np.asarray(rng.random((n, n)) < 0.5)
+    assert np.array_equal(pair_counts(T, S.T), pair_counts(T, np.ascontiguousarray(S.T)))
 
 
 # -- the pair index against the former dict builder ----------------------------

@@ -3,6 +3,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import gray_ee_exact, gray_ev_exact, gray_vvv_exact, link_index_lists
@@ -62,14 +63,31 @@ def test_vvv_matches_gray_walk(n):
             assert _pykernels.vvv_exact(T, p, q) == want, (n, d)
 
 
+def test_float32_products_are_exact_up_to_2_to_the_24():
+    """The counting rule: a float32 product of non-negative integer arrays
+    whose every sum is at most 2^24 equals the int64 product."""
+    rng = np.random.Generator(np.random.PCG64(24))
+    a = rng.integers(0, 2, size=(5, 300, 40))
+    b = rng.integers(0, 2, size=(40, 7))
+    assert np.array_equal(_pykernels.int_matmul(a, b), a @ b)
+    a = rng.integers(0, 4097, size=(6, 4096))
+    a[0] = 4096  # this row's sums reach 2^24 exactly
+    b = rng.integers(0, 2, size=(4096, 3))
+    b[:, 0] = 1
+    got = _pykernels.int_matmul(a, b)
+    assert got.dtype == np.int64 and got[0, 0] == 2**24
+    assert np.array_equal(got, a @ b)
+
+
 def _ee_checked(H, d):
     """The kernel's raw value, after checking that its P mask recounts to it."""
     p, q = d.numerator, d.denominator
-    raw, pmask = _pykernels.ee_exact(H.edge_tensor(), p, q)
+    T = H.edge_tensor()
+    raw, pmask = _pykernels.ee_exact(T, p, q)
     pairs = _pykernels.ee_pair_list(H.n)
     flags = [(pmask >> i) & 1 for i in range(len(pairs))]
     P = [pr for pr, f in zip(pairs, flags) if f]
-    best_q = dn._pairs(dn._ee_best(H, p, q, dn._offdiag(H.n, flags).T))
+    best_q = dn._pairs(dn._ee_best(T, p, q, dn._offdiag(H.n, flags).T))
     assert dn.ee_value(H, d, P, best_q) == Fraction(raw, q)
     return raw
 
