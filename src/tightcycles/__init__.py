@@ -3,7 +3,6 @@ pipeline for tight Hamilton cycles in 3-uniform hypergraphs."""
 
 from .hypercore import (
     Hypergraph3,
-    PairSet,
     TightPath,
     codegree,
     degree,
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Hypergraph3",
-    "PairSet",
     "TightPath",
     "codegree",
     "degree",

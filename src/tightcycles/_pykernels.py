@@ -198,7 +198,8 @@ def vvv_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int, int]:
 def ee_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int]:
     """Exact ee deviation numerator and a minimising P mask.
 
-    The mask uses the pair order of :func:`ee_pair_list`.  For fixed P the
+    Bit i of the mask is the i-th ordered pair (x, y), x != y, in row-major
+    order (x first, the diagonal skipped).  For fixed P the
     optimal Q collects ordered pairs (y, z) with negative margin, and the
     terms with middle vertex y depend only on the section
     S_y = {x : (x, y) in P}, so the minimum splits over y: each y takes the
@@ -223,7 +224,3 @@ def ee_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int]:
                 x = others[w]
                 pmask |= 1 << (x * (n - 1) + (y if y < x else y - 1))
     return total, pmask
-
-
-def ee_pair_list(n: int) -> list[tuple[int, int]]:
-    return [(x, y) for x in range(n) for y in range(n) if x != y]

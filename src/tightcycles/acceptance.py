@@ -13,14 +13,7 @@ import numpy as np
 
 from . import constructions as cons
 from . import density, hamilton, motifs, oracle
-from .hypercore import (
-    PairSet,
-    bits,
-    from_edges,
-    mask_of,
-    verify_tight_cycle,
-    verify_tight_path,
-)
+from .hypercore import bits, from_edges, mask_of, verify_tight_cycle, verify_tight_path
 
 __all__ = ["CriterionResult", "run_all", "ALL_CRITERIA"]
 
@@ -373,16 +366,11 @@ def criterion_10() -> CriterionResult:
         for i in range(20):
             n = 8 + i % 5
             H = cons.random(n, 0.4 + 0.05 * (i % 4), seed=10_000 + i)
-            allp = PairSet.from_unordered(
-                (a, b) for a in range(n) for b in range(a + 1, n)
-            )
-            got = motifs.count_cherries(H, allp, allp).count
+            got = motifs.count_cherries(H).count
             want = oracle.naive_cherry_count(H)
             if got != want:
                 mismatches.append((i, got, want))
-        K5 = cons.complete(5)
-        allp5 = PairSet.from_unordered((a, b) for a in range(5) for b in range(a + 1, 5))
-        k5_ok = motifs.count_cherries(K5, allp5, allp5).count == 120
+        k5_ok = motifs.count_cherries(cons.complete(5)).count == 120
 
         E = cons.example1(12, seed=123)
         x, y = 10, 11

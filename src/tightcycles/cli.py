@@ -20,13 +20,7 @@ from typing import Optional
 
 from . import constructions, density, hamilton, kernels, motifs, oracle
 from .errors import BudgetError, UncertifiedResult
-from .hypercore import (
-    Hypergraph3,
-    PairSet,
-    read_h3,
-    verify_tight_cycle,
-    write_h3,
-)
+from .hypercore import Hypergraph3, read_h3, verify_tight_cycle, write_h3
 
 SCHEMA_VERSION = 1
 
@@ -232,10 +226,7 @@ def _dispatch_motifs(args) -> tuple[int, dict]:
             rep = motifs.count_k4minus(H, cap=args.cap)
         return 0, {"instance": meta, "report": rep.to_dict()}
     if args.count == "cherries":
-        pairs = PairSet.from_unordered(
-            (a, b) for a in range(H.n) for b in range(a + 1, H.n)
-        )
-        rep = motifs.count_cherries(H, pairs, pairs, cap=args.cap)
+        rep = motifs.count_cherries(H, cap=args.cap)
         return 0, {"instance": meta, "report": rep.to_dict()}
     if args.count == "embeddings":
         if not args.pattern:

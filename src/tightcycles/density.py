@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from ._pykernels import _wide
-from .errors import BudgetError
+from .errors import BudgetError, check_budget
 from .hypercore import Hypergraph3, mask_bools, mask_of, pair_counts
 
 __all__ = [
@@ -124,17 +124,14 @@ def ev_value(H: Hypergraph3, d, X: Iterable[int], P: Iterable[tuple[int, int]]) 
 
 
 def vvv_value(H, d, X, Y, Z) -> Fraction:
-    """e(X, Y, Z) - d |X| |Y| |Z|, counting ordered (x, y) per z."""
+    """e(X, Y, Z) - d |X| |Y| |Z|, with e the sum over z in Z and x in X of
+    |N(x, z) ∩ Y|."""
     d = as_density_fraction(d)
-    sets = {"X": set(X), "Y": set(Y), "Z": set(Z)}
-    _check_range(H, **sets)
-    xb, yb, zb = np.zeros((3, H.n), dtype=bool)
-    for row, vs in zip((xb, yb, zb), sets.values()):
-        row[list(vs)] = True
-    off, pairs = H.link_index()
-    a, b = pairs[np.repeat(zb, np.diff(off))].T
-    e = int(np.count_nonzero(xb[a] & yb[b]) + np.count_nonzero(xb[b] & yb[a]))
-    return e - d * int(xb.sum()) * int(yb.sum()) * int(zb.sum())
+    xs, ys, zs = set(X), set(Y), set(Z)
+    _check_range(H, X=xs, Y=ys, Z=zs)
+    ymask = mask_of(int(y) for y in ys)
+    e = sum((H.nbr_mask(x, z) & ymask).bit_count() for z in zs for x in xs)
+    return e - d * len(xs) * len(ys) * len(zs)
 
 
 def ee_value(H, d, P: Iterable[tuple[int, int]], Q: Iterable[tuple[int, int]]) -> Fraction:
@@ -185,12 +182,10 @@ def _margin(a, b, p, q, n) -> np.ndarray:
 def _search_budget(mode, samples, restarts):
     """The proposal budget of a heuristic (None) or sampled search.  A budget
     that would run no search is refused: it would report no violation."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    check_budget("restarts", restarts)
     if mode != "sampled":
         return None
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    check_budget("samples", samples)
     return samples
 
 
@@ -201,7 +196,7 @@ def _pairs(M: np.ndarray) -> list[tuple[int, int]]:
 
 def _offdiag(n: int, flags) -> np.ndarray:
     """The n x n boolean matrix holding ``flags`` off the diagonal, in
-    row-major order (the pair order of ``ee_pair_list``)."""
+    row-major order (the pair order of ``ee_exact``'s P mask)."""
     M = np.zeros((n, n), dtype=bool)
     M[~np.eye(n, dtype=bool)] = flags
     return M

@@ -1,6 +1,5 @@
-"""The absorption pipeline: bounded pair-to-pair connection (also behind the
-turnable-pair check), greedy almost cover, absorbers, the absorbing path, and
-tight-Hamilton-cycle assembly.
+"""The absorption pipeline: bounded pair-to-pair connection, greedy almost
+cover, absorbers, the absorbing path, and tight-Hamilton-cycle assembly.
 
 Soundness is unconditional: every path or cycle any function returns has been
 re-verified against the host hypergraph, and a result that fails that check
@@ -18,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import UncertifiedResult
+from .errors import UncertifiedResult, check_budget
 from .hypercore import (
     Hypergraph3,
     TightPath,
@@ -46,7 +45,6 @@ __all__ = [
     "MAX_INNER",
     "PipelineParams",
     "connect",
-    "turnable_check",
     "almost_cover",
     "find_absorber",
     "is_absorber",
@@ -91,6 +89,7 @@ class PipelineParams:
             raise ValueError("beta and gamma must lie in (0, 1)")
         if self.mode not in ("ev", "ee"):
             raise ValueError("mode must be 'ev' or 'ee'")
+        check_budget("retries", self.retries)
 
     def resolved_reservoir(self, n: int) -> float:
         target = self.gamma * self.gamma * n
@@ -122,7 +121,9 @@ def connect(
     middle pair.  Sound (a result that fails re-verification raises
     ``UncertifiedResult``) but incomplete: None within budget does not
     certify absence.  ``lengths`` restricts the inner-vertex counts
-    tried (default 1..max_inner, ascending).
+    tried (default 1..max_inner, ascending).  A budget below 1, or no inner
+    length in 0..max_inner left to try, raises ``ValueError``: that call
+    would search nothing.
     """
     x, y = from_pair
     z, w = to_pair
@@ -136,7 +137,8 @@ def connect(
         lengths = range(1, max_inner + 1)
     lengths = [l for l in lengths if 0 <= l <= max_inner]
     if not lengths:
-        return None
+        raise ValueError(f"no inner length in 0..{max_inner} to try")
+    check_budget("budget", budget)
     rng = np.random.Generator(np.random.PCG64(seed))
     # tiny allowed pools (exact-length closings through a reservoir) need the
     # full state variety per pair; wide pools get capped for breadth control
@@ -216,28 +218,6 @@ def connect(
     if stats is not None:
         stats.update({"expansions": expansions, "inner": None})
     return None
-
-
-def turnable_check(
-    H: Hypergraph3,
-    q: tuple[int, int],
-    q_prime: tuple[int, int],
-    max_inner: int = 3,
-    budget: int = 20000,
-) -> dict:
-    """For each of the four orientation combinations of two disjoint unordered
-    pairs, a tight connecting path found by ``connect`` (1..max_inner inner
-    vertices) as a vertex list, or None."""
-    qa = tuple(q)
-    qb = tuple(q_prime)
-    if set(qa) & set(qb):
-        raise ValueError("pairs must be disjoint")
-    table = {}
-    for start in (qa, (qa[1], qa[0])):
-        for end in (qb, (qb[1], qb[0])):
-            path = connect(H, start, end, range(H.n), max_inner=max_inner, budget=budget)
-            table[(start, end)] = None if path is None else list(path.vertices)
-    return table
 
 
 # -- almost cover -----------------------------------------------------------------
@@ -754,7 +734,7 @@ def find_tight_hamilton(
     if n < 12:
         raise ValueError("pipeline requires n >= 12; use the exact oracle instead")
     trace: dict = {"attempts": [], "n": n}
-    for attempt in range(max(params.retries, 1)):
+    for attempt in range(params.retries):
         at: dict = {"attempt": attempt}
         trace["attempts"].append(at)
         cycle = _attempt(H, params, attempt, at)

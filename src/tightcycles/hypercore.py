@@ -7,7 +7,7 @@ search code can run on plain set algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -17,7 +17,6 @@ from ._pykernels import int_matmul
 
 __all__ = [
     "Hypergraph3",
-    "PairSet",
     "TightPath",
     "from_edges",
     "degree",
@@ -299,59 +298,6 @@ def min_codegree(H: Hypergraph3) -> int:
     return min(m.bit_count() for u in range(n) for m in flat[u * n + u + 1 : (u + 1) * n])
 
 
-# -- pair sets -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairSet:
-    """A set of vertex pairs, either ordered or canonically unordered."""
-
-    ordered: bool
-    members: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        for a, b in self.members:
-            if a == b:
-                raise ValueError(f"pair ({a},{a}) has equal endpoints")
-        if not self.ordered:
-            bad = [p for p in self.members if p[0] > p[1]]
-            if bad:
-                raise ValueError(f"unordered pairs must be stored as (min,max): {bad[0]}")
-
-    @staticmethod
-    def from_ordered(pairs: Iterable[tuple[int, int]]) -> "PairSet":
-        return PairSet(True, frozenset((int(a), int(b)) for a, b in pairs))
-
-    @staticmethod
-    def from_unordered(pairs: Iterable[tuple[int, int]]) -> "PairSet":
-        canon = frozenset((min(a, b), max(a, b)) for a, b in pairs)
-        return PairSet(False, canon)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, pair) -> bool:
-        a, b = pair
-        if self.ordered:
-            return (a, b) in self.members
-        return (min(a, b), max(a, b)) in self.members
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def endpoint_mask_by_first(self, n: int) -> dict[int, int]:
-        """For each first coordinate y, the bitmask {v : (y,v) in set}.
-
-        For unordered sets, membership is interpreted symmetrically.
-        """
-        out: dict[int, int] = {}
-        for a, b in self.members:
-            out[a] = out.get(a, 0) | (1 << b)
-            if not self.ordered:
-                out[b] = out.get(b, 0) | (1 << a)
-        return out
-
-
 # -- tight paths ----------------------------------------------------------
 
 
@@ -375,12 +321,6 @@ class TightPath:
     @property
     def end_pair(self) -> tuple[int, int]:
         return self.vertices[-2], self.vertices[-1]
-
-    def reversed(self) -> "TightPath":
-        return TightPath(tuple(reversed(self.vertices)), self.is_cycle)
-
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
 
     def vertex_mask(self) -> int:
         return mask_of(self.vertices)

@@ -1,11 +1,11 @@
-"""Structural gadget search and counting: cleaned subhypergraphs, connectable
-pairs, apex-rooted four-vertex motifs, cherries, turns, embeddings, the
-3-partite nine-vertex gadget and blow-ups of the tight 8-cycle.  The bounded
-pair-to-pair connection search, and the turnable-pair check built on it, live
-in ``hamilton``.
+"""Structural gadget search and counting: the cleaned pair neighbourhoods,
+connectable pairs, apex-rooted four-vertex motifs, cherries, turns,
+embeddings, the 3-partite nine-vertex gadget and blow-ups of the tight
+8-cycle.  The bounded pair-to-pair connection search lives in ``hamilton``.
 
 All search budgets are node-expansion counts, never wall clock, so results
-are deterministic per seed.
+are deterministic per seed.  A budget that would run no search raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,14 +16,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, check_budget
 from .hypercore import (
     Hypergraph3,
-    PairSet,
     TightPath,
     bits,
     degree,
-    from_edges,
     mask_of,
     pair_key,
     pair_of,
@@ -33,7 +31,6 @@ from .hypercore import (
 __all__ = [
     "CountReport",
     "Turn",
-    "clean",
     "is_connectable",
     "count_k4minus",
     "sample_k4minus",
@@ -105,24 +102,6 @@ def _cleaned_masks(H: Hypergraph3, thr: float, allowed_mask: Optional[int] = Non
     return {k: m for k, m in masks.items() if m}
 
 
-def _masks_to_hypergraph(n: int, masks: dict[int, int]) -> Hypergraph3:
-    triples = []
-    for key, m in masks.items():
-        u, v = pair_of(key, n)
-        for w in bits(m):
-            if w > v:
-                triples.append((u, v, w))
-    return from_edges(n, triples)
-
-
-def clean(H: Hypergraph3, beta: float) -> Hypergraph3:
-    """Subhypergraph on the same vertices in which every pair has codegree 0
-    or at least beta*n, obtained by iterated edge deletion."""
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
-    return _masks_to_hypergraph(H.n, _cleaned_masks(H, beta * H.n))
-
-
 def is_connectable(H: Hypergraph3, x: int, y: int, beta: float) -> bool:
     """Whether the ordered pair (x, y) is beta-connectable: at least beta*n
     vertices z in N(x, y) have codegree(y, z) >= beta*n.  Note the asymmetry.
@@ -156,6 +135,7 @@ def count_k4minus(H: Hypergraph3, cap: Optional[int] = None) -> CountReport:
 
 def sample_k4minus(H: Hypergraph3, samples: int, seed: int) -> CountReport:
     """Estimate the apex-rooted motif density by uniform 4-tuple sampling."""
+    check_budget("samples", samples)
     n = H.n
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
@@ -170,32 +150,24 @@ def sample_k4minus(H: Hypergraph3, samples: int, seed: int) -> CountReport:
                 and (H.nbr_mask(a, y) >> z) & 1
             ):
                 hits += 1
-    density = hits / samples if samples else 0.0
+    density = hits / samples
     return CountReport("k4minus", density * n**4, density, False)
 
 
 # -- cherries -------------------------------------------------------------------
 
 
-def count_cherries(
-    H: Hypergraph3, P: PairSet, Q: PairSet, cap: Optional[int] = None
-) -> CountReport:
-    """Ordered 4-tuples (x, y, z, w) of distinct vertices with {x,y} in P,
-    {z,w} in Q, and both xyz and yzw edges."""
-    if P.ordered or Q.ordered:
-        raise ValueError("cherry counting takes unordered pair sets")
+def count_cherries(H: Hypergraph3, cap: Optional[int] = None) -> CountReport:
+    """Ordered 4-tuples (x, y, z, w) of distinct vertices with both xyz and
+    yzw edges.  A shadow pair {y, z} of codegree c gives c(c - 1) choices of
+    (x, w) in each of its two orientations; the cap is checked after each
+    pair, in ascending key order."""
     n = H.n
-    pm = P.endpoint_mask_by_first(n)
-    qm = Q.endpoint_mask_by_first(n)
     total = 0
     cap_hit = False
-    for u, v, m in H.pair_masks():
-        for y, z in ((u, v), (v, u)):
-            a = m & pm.get(y, 0)
-            b = m & qm.get(z, 0)
-            ca, cb = a.bit_count(), b.bit_count()
-            if ca and cb:
-                total += ca * cb - (a & b).bit_count()
+    for _, _, m in H.pair_masks():
+        c = m.bit_count()
+        total += 2 * c * (c - 1)
         if cap is not None and total > cap:
             cap_hit = True
             break
@@ -251,6 +223,7 @@ def turn_connecting_orderings(t: Turn) -> list[list[int]]:
 def find_turns(H: Hypergraph3, samples: int, seed: int) -> list[Turn]:
     """Sample for turns: half blind 7-tuples, half guided from pairs (c, d)
     with three apex candidates.  Every returned turn is verified."""
+    check_budget("samples", samples)
     n = H.n
     rng = np.random.Generator(np.random.PCG64(seed))
     found: list[Turn] = []
@@ -376,6 +349,7 @@ def find_k333(
     """A labelled complete 3-partite gadget (x1,x2,x3,y1,y2,y3,z1,z2,z3) with
     parts {x_i,y_i,z_i}, disjoint from ``avoid``; grown from a seed edge by
     common-neighbourhood intersections.  Absence within budget is normal."""
+    check_budget("tries", tries)
     n = H.n
     avoid_mask = mask_of(avoid)
     allowed = H.vertex_mask() & ~avoid_mask
@@ -463,6 +437,7 @@ def find_c8(
 ) -> Optional[TightPath]:
     """Backtrack for a tight cycle on 8 vertices (rooted at its minimum
     vertex, direction canonicalised) outside ``avoid``."""
+    check_budget("budget", budget)
     allowed = H.vertex_mask() & ~mask_of(avoid)
     if allowed.bit_count() < 8:
         return None
@@ -519,6 +494,7 @@ def find_c8_blowup(
     ``budget`` counts node expansions for each of the (at most two) seeds;
     the 8-cycle search gets ``max(budget // 4, 1000)`` of its own, so the
     worst case is ``max(budget // 4, 1000) + 2 * budget`` nodes."""
+    check_budget("budget", budget)
     avoid = list(avoid)
     avoid_mask = mask_of(avoid)
     if H.n - avoid_mask.bit_count() < 8 * t:

@@ -4,7 +4,6 @@ brute-force counts the exact deviation and cherry modes are checked against."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -16,8 +15,10 @@ from .errors import BudgetError, UncertifiedResult
 from .hypercore import Hypergraph3, TightPath, bits, min_degree, verify_tight_cycle
 
 __all__ = [
-    "OracleLimits",
-    "DEFAULT_LIMITS",
+    "DP_MAX_N",
+    "EXHAUSTIVE_MAX_N",
+    "PATHS_MAX_N",
+    "PATHS_MAX_INNER",
     "has_tight_hamilton",
     "extract_tight_hamilton",
     "exhaustive_hamilton",
@@ -28,24 +29,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_n_dp: int = 20
-    max_n_exhaustive: int = 9
-    max_inner: int = 6
-    max_n_paths: int = 14
-
-    def __post_init__(self):
-        if self.max_n_exhaustive > self.max_n_dp:
-            raise ValueError("exhaustive cap must not exceed the DP cap")
+# the largest inputs each exact oracle accepts; beyond them it raises BudgetError
+DP_MAX_N = 20
+EXHAUSTIVE_MAX_N = 9
+PATHS_MAX_N = 14
+PATHS_MAX_INNER = 6
 
 
-DEFAULT_LIMITS = OracleLimits()
-
-
-def _dp_cycle(H: Hypergraph3, limits: OracleLimits) -> Optional[list[int]]:
-    if H.n > limits.max_n_dp:
-        raise BudgetError(f"DP budget exceeded (n={H.n} > {limits.max_n_dp})")
+def _dp_cycle(H: Hypergraph3) -> Optional[list[int]]:
+    if H.n > DP_MAX_N:
+        raise BudgetError(f"DP budget exceeded (n={H.n} > {DP_MAX_N})")
     if H.n < 4:
         return None
     # a tight cycle puts every vertex into three edges
@@ -54,16 +47,14 @@ def _dp_cycle(H: Hypergraph3, limits: OracleLimits) -> Optional[list[int]]:
     return kernels.backend().tight_hamilton_cycle(H.n, H.nbr_flat())
 
 
-def has_tight_hamilton(H: Hypergraph3, limits: OracleLimits = DEFAULT_LIMITS) -> bool:
+def has_tight_hamilton(H: Hypergraph3) -> bool:
     """Exact decision by subset DP over (visited set, ordered end pair)."""
-    return _dp_cycle(H, limits) is not None
+    return _dp_cycle(H) is not None
 
 
-def extract_tight_hamilton(
-    H: Hypergraph3, limits: OracleLimits = DEFAULT_LIMITS
-) -> Optional[TightPath]:
+def extract_tight_hamilton(H: Hypergraph3) -> Optional[TightPath]:
     """A tight Hamilton cycle when one exists, verified before return."""
-    seq = _dp_cycle(H, limits)
+    seq = _dp_cycle(H)
     if seq is None:
         return None
     if not verify_tight_cycle(H, seq):
@@ -71,12 +62,10 @@ def extract_tight_hamilton(
     return TightPath(tuple(seq), is_cycle=True)
 
 
-def exhaustive_hamilton(H: Hypergraph3, limits: OracleLimits = DEFAULT_LIMITS) -> bool:
+def exhaustive_hamilton(H: Hypergraph3) -> bool:
     """Permutation-level brute force with early pruning; independent of the DP."""
-    if H.n > limits.max_n_exhaustive:
-        raise BudgetError(
-            f"exhaustive budget exceeded (n={H.n} > {limits.max_n_exhaustive})"
-        )
+    if H.n > EXHAUSTIVE_MAX_N:
+        raise BudgetError(f"exhaustive budget exceeded (n={H.n} > {EXHAUSTIVE_MAX_N})")
     n = H.n
     if n < 4:
         return False
@@ -107,14 +96,13 @@ def count_paths_between(
     from_pair: tuple[int, int],
     to_pair: tuple[int, int],
     inner: int,
-    limits: OracleLimits = DEFAULT_LIMITS,
 ) -> int:
     """Exact number of tight paths from from_pair to to_pair with exactly
     ``inner`` inner vertices, by pruned backtracking."""
-    if inner > limits.max_inner:
-        raise BudgetError(f"inner budget exceeded ({inner} > {limits.max_inner})")
-    if H.n > limits.max_n_paths:
-        raise BudgetError(f"path-count budget exceeded (n={H.n} > {limits.max_n_paths})")
+    if inner > PATHS_MAX_INNER:
+        raise BudgetError(f"inner budget exceeded ({inner} > {PATHS_MAX_INNER})")
+    if H.n > PATHS_MAX_N:
+        raise BudgetError(f"path-count budget exceeded (n={H.n} > {PATHS_MAX_N})")
     x, y = from_pair
     z, w = to_pair
     if len({x, y, z, w}) != 4:

@@ -12,16 +12,17 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from tightcycles._pykernels import _ctz, ee_pair_list
+from tightcycles._pykernels import _ctz
 from tightcycles.constructions import _rng
 from tightcycles.density import as_density_fraction, ee_value
 from tightcycles.hamilton import Absorber, _eligible_probe, is_absorber
 from tightcycles.hypercore import (
     Hypergraph3,
-    PairSet,
     bits,
+    from_edges,
     from_triple_array,
     mask_of,
+    pair_of,
     verify_tight_path,
 )
 from tightcycles.motifs import blowup_path_ordering, find_k333
@@ -104,7 +105,7 @@ def _high_codegree_masks(H: Hypergraph3, thr: float) -> list[int]:
     return high
 
 
-def connectable_pairs(H: Hypergraph3, beta: float) -> PairSet:
+def connectable_pairs(H: Hypergraph3, beta: float) -> frozenset:
     """Ordered pairs (x, y) with at least beta*n extensions z such that xyz is
     an edge and (y, z) has codegree at least beta*n.  Note the asymmetry.
     The whole-host reference for ``motifs.is_connectable``."""
@@ -118,7 +119,52 @@ def connectable_pairs(H: Hypergraph3, beta: float) -> PairSet:
             out.append((u, v))
         if (m & high[u]).bit_count() >= thr:
             out.append((v, u))
-    return PairSet.from_ordered(out)
+    return frozenset(out)
+
+
+def masks_to_hypergraph(n: int, masks: dict[int, int]) -> Hypergraph3:
+    """The hypergraph whose pair neighbourhoods are ``masks``, keyed by the
+    pair key u*n+v (u < v), as ``motifs._cleaned_masks`` returns them."""
+    triples = []
+    for key, m in masks.items():
+        u, v = pair_of(key, n)
+        for w in bits(m):
+            if w > v:
+                triples.append((u, v, w))
+    return from_edges(n, triples)
+
+
+def count_cherries_reference(H: Hypergraph3, P, Q, cap=None) -> tuple[int, bool]:
+    """The former cherry loop, as (count, cap_hit): ordered 4-tuples
+    (x, y, z, w) of distinct vertices with {x, y} in P, {z, w} in Q and both
+    xyz and yzw edges, for collections P and Q of unordered pairs.  Each
+    shadow pair adds both of its orientations before the cap is checked."""
+
+    def by_first(pairs):
+        out: dict[int, int] = {}
+        for a, b in pairs:
+            out[a] = out.get(a, 0) | (1 << b)
+            out[b] = out.get(b, 0) | (1 << a)
+        return out
+
+    pm, qm = by_first(P), by_first(Q)
+    total = 0
+    for u, v, m in H.pair_masks():
+        for y, z in ((u, v), (v, u)):
+            a = m & pm.get(y, 0)
+            b = m & qm.get(z, 0)
+            ca, cb = a.bit_count(), b.bit_count()
+            if ca and cb:
+                total += ca * cb - (a & b).bit_count()
+        if cap is not None and total > cap:
+            return total, True
+    return total, False
+
+
+def ee_pair_list(n: int) -> list[tuple[int, int]]:
+    """The ordered pairs (x, y), x != y, in the row-major order of
+    ``ee_exact``'s P mask."""
+    return [(x, y) for x in range(n) for y in range(n) if x != y]
 
 
 # -- the former exact kernels ------------------------------------------------------

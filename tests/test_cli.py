@@ -83,6 +83,30 @@ def test_density_search_that_runs_nothing_is_exit_3(tmp_path, capsys, notion):
         assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["motifs", "--find", "turn", "--samples", "0"],
+        ["motifs", "--find", "k333", "--samples", "0"],
+        ["motifs", "--find", "c8", "--budget", "0"],
+        ["motifs", "--find", "c8", "--budget", "-3"],
+        ["motifs", "--find", "c84", "--budget", "0"],
+        ["motifs", "--count", "k4minus", "--sampled", "--samples", "0"],
+        ["hamilton", "connect", "--from", "0,1", "--to", "2,3", "--budget", "0"],
+        ["hamilton", "connect", "--from", "0,1", "--to", "2,3", "--max-inner", "0"],
+        ["hamilton", "find", "--retries", "0"],
+        ["hamilton", "find", "--retries", "-2"],
+    ],
+    ids=" ".join,
+)
+def test_search_that_runs_nothing_is_exit_3(tmp_path, capsys, argv):
+    out = tmp_path / "k12.h3"
+    run(capsys, "gen", "--family", "complete", "--n", "12", "-o", str(out))
+    code, stdout, err = run(capsys, *argv, str(out))
+    assert code == 3 and stdout == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_density_exact_json(tmp_path, capsys):
     out = tmp_path / "k4.h3"
     run(capsys, "gen", "--family", "complete", "--n", "4", "-o", str(out))

@@ -44,13 +44,30 @@ def test_connect_cross_class_absent_and_confirmed():
         assert orc.count_paths_between(H, red, blue, inner) == 0
 
 
-def test_connect_exact_ee_lengths_on_dense():
+def test_connect_exact_ee_lengths_on_dense(monkeypatch):
     H = cons.random(12, 0.85, 4)
-    limits = orc.OracleLimits(max_inner=7)
+    monkeypatch.setattr(orc, "PATHS_MAX_INNER", 7)
     for l in (5, 6, 7):
         p = ham.connect(H, (0, 1), (2, 3), range(12), lengths=[l], seed=2)
         assert p is not None and len(p) == l + 4
-        assert orc.count_paths_between(H, (0, 1), (2, 3), l, limits=limits) > 0
+        assert orc.count_paths_between(H, (0, 1), (2, 3), l) > 0
+
+
+def test_connect_that_searches_nothing_is_refused():
+    # "None" must mean searched and not found, so a call that would search
+    # nothing raises instead
+    H = cons.complete(12)
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget"):
+            ham.connect(H, (0, 1), (2, 3), range(12), budget=budget)
+    for kw in ({"max_inner": 0}, {"max_inner": -1}, {"lengths": []},
+               {"lengths": [16]}, {"lengths": [4], "max_inner": 3}):
+        with pytest.raises(ValueError, match="inner length"):
+            ham.connect(H, (0, 1), (2, 3), range(12), **kw)
+    p = ham.connect(H, (0, 1), (2, 3), [], lengths=[0], budget=1)
+    assert p is not None and p.vertices == (0, 1, 2, 3)
+    p = ham.connect(H, (0, 1), (2, 3), range(12), max_inner=1, budget=1)
+    assert p is not None and len(p) == 5
 
 
 def test_connect_endpoint_validation():
@@ -482,3 +499,7 @@ def test_pipeline_params_validate():
         ham.PipelineParams(beta=0)
     with pytest.raises(ValueError):
         ham.PipelineParams(mode="vv")
+    for retries in (0, -2):
+        with pytest.raises(ValueError, match="retries"):
+            ham.PipelineParams(retries=retries)
+    assert ham.PipelineParams(retries=1).retries == 1

@@ -15,7 +15,6 @@ from oracles import (
 import tightcycles
 from tightcycles import constructions as cons
 from tightcycles.hypercore import (
-    PairSet,
     TightPath,
     codegree,
     degree,
@@ -161,20 +160,10 @@ def test_cycle_verification_invariant_under_rotation_reversal(seed, rot, reverse
     assert verify_tight_cycle(H, other) == base
 
 
-def test_pairset_validation_and_lookup():
-    with pytest.raises(ValueError):
-        PairSet.from_ordered([(1, 1)])
-    up = PairSet.from_unordered([(3, 1), (2, 4)])
-    assert (1, 3) in up and (3, 1) in up
-    op = PairSet.from_ordered([(3, 1)])
-    assert (3, 1) in op and (1, 3) not in op
-
-
 def test_tight_path_helpers():
     p = TightPath((4, 5, 6, 7))
     assert p.start_pair == (4, 5)
     assert p.end_pair == (6, 7)
-    assert p.reversed().vertices == (7, 6, 5, 4)
 
 
 def test_h3_roundtrip(tmp_path):

@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import gray_ee_exact, gray_ev_exact, gray_vvv_exact, link_index_lists
+from oracles import (
+    ee_pair_list,
+    gray_ee_exact,
+    gray_ev_exact,
+    gray_vvv_exact,
+    link_index_lists,
+)
 from tightcycles import _pykernels, constructions as cons, density as dn
 
 DENSITIES = [Fraction(1, 4), Fraction(3, 10), Fraction(1, 2), Fraction(1)]
@@ -84,7 +90,7 @@ def _ee_checked(H, d):
     p, q = d.numerator, d.denominator
     T = H.edge_tensor()
     raw, pmask = _pykernels.ee_exact(T, p, q)
-    pairs = _pykernels.ee_pair_list(H.n)
+    pairs = ee_pair_list(H.n)
     flags = [(pmask >> i) & 1 for i in range(len(pairs))]
     P = [pr for pr, f in zip(pairs, flags) if f]
     best_q = dn._pairs(dn._ee_best(T, p, q, dn._offdiag(H.n, flags).T))

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     connectable_pairs,
+    count_cherries_reference,
     grow_blowup_reference,
+    masks_to_hypergraph,
     naive_cherry_count,
     naive_embedding_count,
     naive_k4minus_count,
@@ -16,7 +18,6 @@ from tightcycles import motifs as mt
 from tightcycles import oracle as orc
 from tightcycles.errors import BudgetError
 from tightcycles.hypercore import (
-    PairSet,
     bits,
     codegree,
     from_edges,
@@ -26,47 +27,44 @@ from tightcycles.hypercore import (
 )
 
 
-def all_unordered(n):
-    return PairSet.from_unordered((a, b) for a in range(n) for b in range(a + 1, n))
-
-
 # -- cleaning -------------------------------------------------------------------
+
+
+def clean(H, beta):
+    """The subhypergraph that ``motifs._cleaned_masks`` leaves at threshold
+    beta*n: every pair has codegree 0 or at least beta*n."""
+    return masks_to_hypergraph(H.n, mt._cleaned_masks(H, beta * H.n))
 
 
 def test_clean_complete_unchanged():
     n = 8
     H = cons.complete(n)
-    assert mt.clean(H, (n - 2) / n - 1e-9) == H
+    assert clean(H, (n - 2) / n - 1e-9) == H
 
 
 def test_clean_single_edge_to_empty():
     H = from_edges(4, [(0, 1, 2)])
-    assert mt.clean(H, 0.3).m == 0  # threshold 1.2 kills the codegree-1 pairs
+    assert clean(H, 0.3).m == 0  # threshold 1.2 kills the codegree-1 pairs
 
 
 def test_clean_tight_cycle_collapses():
     # every pair in the 9-cycle has codegree at most 2
     H = cons.tight_cycle(9)
     assert all(codegree(H, u, v) <= 2 for u in range(9) for v in range(u + 1, 9))
-    assert mt.clean(H, 0.25).m == 0
+    assert clean(H, 0.25).m == 0
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 1000), beta=st.sampled_from([0.15, 0.2, 0.3]))
 def test_clean_idempotent_and_thresholds(seed, beta):
     H = cons.random(10, 0.45, seed)
-    C = mt.clean(H, beta)
-    assert mt.clean(C, beta) == C
+    C = clean(H, beta)
+    assert clean(C, beta) == C
     thr = beta * H.n
     for u in range(10):
         for v in range(u + 1, 10):
             c = codegree(C, u, v)
             assert c == 0 or c >= thr
-
-
-def test_clean_beta_range():
-    with pytest.raises(ValueError):
-        mt.clean(cons.complete(5), 0.0)
 
 
 # -- connectable pairs --------------------------------------------------------------
@@ -87,7 +85,7 @@ def test_connectable_empty():
 def test_cleaned_pairs_are_connectable(seed):
     beta = 0.2
     H = cons.random(11, 0.5, seed)
-    C = mt.clean(H, beta)
+    C = clean(H, beta)
     cp = connectable_pairs(H, beta)
     for u, v, _ in C.pair_masks():
         assert (u, v) in cp and (v, u) in cp
@@ -138,6 +136,33 @@ def test_k4minus_cap():
     assert rep.cap_hit and not rep.exact and rep.count > 5
 
 
+def test_searches_that_run_nothing_are_refused():
+    # with no sample, try or node to spend, "not found" would read as
+    # "searched but absent"
+    H = cons.complete(12)
+    calls = {
+        "samples": [
+            lambda v: mt.sample_k4minus(H, samples=v, seed=0),
+            lambda v: mt.find_turns(H, samples=v, seed=0),
+        ],
+        "tries": [lambda v: mt.find_k333(H, tries=v)],
+        "budget": [
+            lambda v: mt.find_c8(H, budget=v),
+            lambda v: mt.find_c8_blowup(H, budget=v, t=1),
+        ],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            for v in (0, -3):
+                with pytest.raises(ValueError, match=name):
+                    fn(v)
+    assert mt.sample_k4minus(H, samples=1, seed=0).count >= 0
+    assert mt.find_turns(H, samples=1, seed=0)
+    assert mt.find_k333(H, tries=1) is not None
+    assert mt.find_c8(H, budget=8) is not None
+    assert mt.find_c8_blowup(H, budget=1, t=1) is not None
+
+
 def test_k4minus_sampling_tracks_exact():
     H = cons.random(10, 0.7, 2)
     exact = mt.count_k4minus(H)
@@ -151,38 +176,36 @@ def test_k4minus_sampling_tracks_exact():
 
 
 def test_cherries_k5_120():
-    ps = all_unordered(5)
-    assert mt.count_cherries(cons.complete(5), ps, ps).count == 120
+    assert mt.count_cherries(cons.complete(5)).count == 120
 
 
 def test_cherries_trivial_cases():
-    ps = all_unordered(5)
-    assert mt.count_cherries(cons.empty(5), ps, ps).count == 0
+    assert mt.count_cherries(cons.empty(5)).count == 0
     single = from_edges(5, [(0, 1, 2)])
-    assert mt.count_cherries(single, ps, ps).count == 0
+    assert mt.count_cherries(single).count == 0
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_cherries_match_naive(seed):
     n = 8 + seed
     H = cons.random(n, 0.5, seed + 90)
-    ps = all_unordered(n)
-    assert mt.count_cherries(H, ps, ps).count == naive_cherry_count(H)
+    assert mt.count_cherries(H).count == naive_cherry_count(H)
 
 
-def test_cherries_respect_pair_sets():
-    H = cons.complete(5)
-    P = PairSet.from_unordered([(0, 1)])
-    Q = PairSet.from_unordered([(3, 4)])
-    # x,y from {0,1}, z,w from {3,4}: 2 orientations each
-    assert mt.count_cherries(H, P, Q).count == 4
-
-
-def test_cherries_require_unordered():
-    H = cons.complete(5)
-    op = PairSet.from_ordered([(0, 1)])
-    with pytest.raises(ValueError):
-        mt.count_cherries(H, op, all_unordered(5))
+@pytest.mark.parametrize(
+    "H",
+    [cons.empty(6), cons.complete(9), cons.tight_cycle(10), cons.example1(14, seed=2)]
+    + [cons.random(n, p, n) for n, p in ((10, 0.4), (13, 0.7), (20, 0.5))],
+    ids=["empty", "complete", "tight_cycle", "example1", "random10", "random13", "random20"],
+)
+@pytest.mark.parametrize("cap", [None, 0, 10, 1000, 10**9])
+def test_cherries_match_pair_set_loop(H, cap):
+    # the codegree count equals the former loop over all pairs as P and Q,
+    # count and cap_hit alike, whether or not the cap stops it
+    rep = mt.count_cherries(H, cap=cap)
+    ps = [(a, b) for a in range(H.n) for b in range(a + 1, H.n)]
+    assert (rep.count, rep.cap_hit) == count_cherries_reference(H, ps, ps, cap)
+    assert rep.exact == (not rep.cap_hit)
 
 
 # -- turns -------------------------------------------------------------------------
@@ -213,8 +236,18 @@ def test_turn_orderings_cover_all_orientations():
     assert ends == {(1, 4), (4, 1)}
 
 
+def turnable_table(H, q, q_prime):
+    """For each of the four orientation combinations of two pairs, the tight
+    path ``connect`` finds between them with 1..3 inner vertices, or None."""
+    return {
+        (s, e): ham.connect(H, s, e, range(H.n), max_inner=3, budget=20000)
+        for s in (q, q[::-1])
+        for e in (q_prime, q_prime[::-1])
+    }
+
+
 def test_turnable_on_complete():
-    table = ham.turnable_check(cons.complete(9), (0, 1), (2, 3))
+    table = turnable_table(cons.complete(9), (0, 1), (2, 3))
     assert len(table) == 4
     assert all(p is not None and len(p) == 5 for p in table.values())
 
@@ -225,16 +258,16 @@ def test_turnable_cross_class_absent():
     blue = next(
         tuple(p) for p in H.link_pairs(9).tolist() if not set(p) & set(red)
     )
-    table = ham.turnable_check(H, red, blue)
+    table = turnable_table(H, red, blue)
     assert all(p is None for p in table.values())
 
 
 def test_turnable_empty_and_overlap():
     assert all(
-        p is None for p in ham.turnable_check(cons.empty(6), (0, 1), (2, 3)).values()
+        p is None for p in turnable_table(cons.empty(6), (0, 1), (2, 3)).values()
     )
     with pytest.raises(ValueError):
-        ham.turnable_check(cons.complete(6), (0, 1), (1, 2))
+        turnable_table(cons.complete(6), (0, 1), (1, 2))
 
 
 def test_turnable_matches_exact_path_count():
@@ -245,12 +278,12 @@ def test_turnable_matches_exact_path_count():
         n = int(rng.integers(7, 13))
         H = cons.random(n, (0.3, 0.5, 0.7)[i % 3], 1000 + i)
         a, b, c, d = (int(v) for v in rng.choice(n, size=4, replace=False))
-        for (s, e), path in ham.turnable_check(H, (a, b), (c, d)).items():
+        for (s, e), path in turnable_table(H, (a, b), (c, d)).items():
             exists = any(orc.count_paths_between(H, s, e, l) > 0 for l in (1, 2, 3))
             assert (path is not None) == exists, (i, s, e)
             if path is not None:
-                assert tuple(path[:2]) == s and tuple(path[-2:]) == e
-                assert 5 <= len(path) <= 7 and verify_tight_path(H, path)
+                assert path.start_pair == s and path.end_pair == e
+                assert 5 <= len(path) <= 7 and verify_tight_path(H, path.vertices)
             outcomes.add(exists)
     assert outcomes == {True, False}
 

@@ -75,11 +75,6 @@ def test_budget_errors():
         orc.count_paths_between(cons.empty(15), (0, 1), (2, 3), 2)
 
 
-def test_limits_validate():
-    with pytest.raises(ValueError):
-        orc.OracleLimits(max_n_dp=8, max_n_exhaustive=9)
-
-
 def test_count_paths_k6_one_inner():
     assert orc.count_paths_between(cons.complete(6), (0, 1), (2, 3), 1) == 2
 
@@ -169,7 +164,6 @@ hamilton.verify_tight_path = lambda H, seq: False
 expect_uncertified("connect", lambda: hamilton.connect(K, (0, 1), (2, 3), range(30)))
 expect_uncertified("almost_cover", lambda: hamilton.almost_cover(K, 0.05, 0.15))
 expect_uncertified("absorb", lambda: hamilton.absorb(K, ap, outside[:3]))
-expect_uncertified("turnable_check", lambda: hamilton.turnable_check(K, (0, 1), (2, 3)))
 
 # absorbers are accepted on their own (at most nine-vertex) path identities,
 # so only the longer paths the pipeline assembles fail certification
