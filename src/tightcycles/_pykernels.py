@@ -113,9 +113,10 @@ def _wide(p: int, q: int, n: int):
     return np.int64 if 2 * (p + q) * n**3 < 2**63 else object
 
 
-def int_matmul(a, b) -> np.ndarray:
+def int_matmul(a, b, out=None) -> np.ndarray:
     """``a @ b`` for arrays of non-negative integers, run in float32 BLAS and
-    returned as int64.
+    returned as int64: in ``out``, an int64 array of the product's shape, when
+    one is given.
 
     The rule for every count in this library: such a product may run in
     float32 when each of its sums is at most 2^24, because every partial sum
@@ -124,7 +125,9 @@ def int_matmul(a, b) -> np.ndarray:
     taken from the int64 result in ``_wide``'s dtype; a float32 array cast to
     ``object`` would give Python floats.
     """
-    return np.matmul(a, b, dtype=np.float32).astype(np.int64)
+    if out is None:
+        return np.matmul(a, b, dtype=np.float32).astype(np.int64)
+    return np.matmul(a, b, dtype=np.float32, out=out, casting="unsafe")
 
 
 def _rows(codes: np.ndarray, n: int) -> np.ndarray:
@@ -145,6 +148,10 @@ def ev_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int]:
     iu, ju = np.triu_indices(n, 1)
     inc = T[:, iu, ju]  # inc[x, pair] = [x ∈ N(pair)]
     dt = _wide(p, q, n)
+    # every block counts into one buffer and takes its margins in place: a
+    # fresh block-sized array per step let malloc trim the heap top and fault
+    # it back in on the next block, which doubled the cost of a call at n = 13
+    counts = np.empty((min(BLOCK, 1 << n), len(iu)), dtype=np.int64)
     best = 0
     best_mask = 0
     for lo in range(0, 1 << n, BLOCK):
@@ -152,7 +159,10 @@ def ev_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int]:
         gray = i ^ (i >> 1)
         X = _rows(gray, n)
         k = X.sum(axis=1).astype(dt)
-        s = 2 * np.minimum(0, int_matmul(X, inc).astype(dt) * q - p * k[:, None]).sum(axis=1)
+        m = int_matmul(X, inc, out=counts[: len(X)]).astype(dt, copy=False)
+        m *= q
+        m -= p * k[:, None]
+        s = 2 * np.minimum(m, 0, out=m).sum(axis=1)
         j = int(np.argmin(s))
         if s[j] < best:
             best = int(s[j])

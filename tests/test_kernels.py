@@ -83,6 +83,9 @@ def test_float32_products_are_exact_up_to_2_to_the_24():
     got = _pykernels.int_matmul(a, b)
     assert got.dtype == np.int64 and got[0, 0] == 2**24
     assert np.array_equal(got, a @ b)
+    out = np.empty((6, 3), dtype=np.int64)
+    assert _pykernels.int_matmul(a, b, out=out) is out
+    assert np.array_equal(out, a @ b)
 
 
 def _ee_checked(H, d):
