@@ -245,7 +245,7 @@ def ev_deviation(
 
     budget = _search_budget(mode, samples, restarts)
     T = H.edge_tensor()
-    xmask, used = _ev_search(H, T, p, q, seed, restarts=restarts, budget=budget)
+    xmask, used = _ev_search(T, p, q, seed, restarts=restarts, budget=budget)
     xs, P = _ev_witness(T, p, q, xmask)
     raw = ev_value(H, dfrac, xs, P)
     return _report(
@@ -254,7 +254,7 @@ def ev_deviation(
     )
 
 
-def _ev_search(H, T, p, q, seed, restarts=32, budget=None):
+def _ev_search(T, p, q, seed, restarts=32, budget=None):
     """Local search over X; returns (best X mask, proposals evaluated).
 
     Each restart starts from the counts |N(y,z) ∩ X| of ``pair_counts`` and
@@ -262,13 +262,13 @@ def _ev_search(H, T, p, q, seed, restarts=32, budget=None):
     link by the same ±1, so the candidate histogram takes one ``bincount`` of
     their counts, shifted by one place; it is written only on acceptance.
     """
-    n = H.n
+    n = len(T)
     if n == 0:
         return 0, 0
     rng = np.random.Generator(np.random.PCG64(seed))
-    off, pairs = H.link_index()
-    linkkeys = np.split(pairs[:, 0] * n + pairs[:, 1], off[1:-1])
-    upper = np.triu_indices(n, 1)
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))  # keys a*n+b, a < b
+    # v's link pairs as keys, in edge order (see link_pairs)
+    linkkeys = [upper[T[v].ravel()[upper] != 0] for v in range(n)]
     cq = np.arange(n).astype(_wide(p, q, n)) * q
 
     def objective(hist, k):
@@ -282,9 +282,8 @@ def _ev_search(H, T, p, q, seed, restarts=32, budget=None):
         xb = np.ones(n, dtype=bool) if r == 0 else rng.random(n) < 0.5
         xmask = mask_of(np.flatnonzero(xb).tolist())
         k = xmask.bit_count()
-        cnt = pair_counts(T, xb)
+        cnt = pair_counts(T, xb).ravel()
         hist = np.bincount(cnt[upper], minlength=n)
-        cnt = cnt.ravel()
         s = objective(hist, k)
         if s < best_num:
             best_num, best_mask = s, xmask

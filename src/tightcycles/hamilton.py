@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import ceil
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .hypercore import (
     Hypergraph3,
     TightPath,
     bits,
-    mask_bools,
     mask_of,
     pair_key,
     pair_of,
@@ -379,17 +378,15 @@ def find_absorber(
         for i in range(3):
             yv = K[3 + i]
             avail = H.vertex_mask() & ~fmask & ~used
-            inside = mask_bools(avail, n)
-            pairs = H.link_pairs(yv)
-            order = np.flatnonzero(inside[pairs[:, 0]] & inside[pairs[:, 1]])
+            # the link of yv inside avail, in edge order (see link_pairs): the
+            # pairs (a, b) for each head a and each b in its tail, above a
+            heads = list(bits(avail))
+            tails = [H.nbr_mask(yv, a) & avail & (-2 << a) for a in heads]
+            ends = np.cumsum([t.bit_count() for t in tails], dtype=np.int64)
             # a 1-D index array shuffles with the same draws as a list would
+            order = np.arange(ends[-1] if heads else 0)
             rng.shuffle(order)
-            # converted 64 pairs at a time: a slot's budget rarely reaches far
-            rows = (
-                row
-                for s in range(0, len(order), 64)
-                for row in pairs[order[s : s + 64]].tolist()
-            )
+            rows = _ranked_pairs(heads, tails, ends, order)
             best = _best_link(H, yv, rows, avail, per_slot, n - 21)
             if best is None or best[0] < min_eligibility:
                 ok = False
@@ -415,6 +412,21 @@ def find_absorber(
         ):
             return A
     return None
+
+
+def _ranked_pairs(heads, tails, ends, order) -> Iterator[tuple[int, int]]:
+    """The pairs at the ranks in ``order``, where ranks ends[j-1]..ends[j]-1
+    are (heads[j], b) for the set bits b of tails[j], ascending.  The ranks
+    are placed 64 at a time, and each pair is built only when it is drawn: a
+    slot's budget rarely reaches past the first."""
+    for s in range(0, len(order), 64):
+        ranks = order[s : s + 64]
+        js = np.searchsorted(ends, ranks, side="right")
+        for j, k in zip(js.tolist(), (ends[js] - ranks).tolist()):
+            tail = tails[j]
+            for _ in range(k - 1):  # drop the k - 1 highest bits
+                tail ^= 1 << (tail.bit_length() - 1)
+            yield heads[j], tail.bit_length() - 1
 
 
 def _best_link(H, yv, pairs, avail, budget, enough) -> Optional[tuple]:

@@ -54,7 +54,15 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def mask_bools(mask: int, n: int) -> np.ndarray:
     """Membership of 0..n-1 in a vertex bitmask, as a boolean array."""
-    return np.array([(mask >> v) & 1 for v in range(n)], dtype=bool)
+    return _mask_rows([mask], n)[0]
+
+
+def _mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """A len(masks) x n boolean array: row i holds the bits 0..n-1 of masks[i]."""
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+    rows = np.unpackbits(packed.reshape(len(masks), nbytes), axis=1, count=n, bitorder="little")
+    return rows.view(bool)
 
 
 class Hypergraph3:
@@ -62,19 +70,17 @@ class Hypergraph3:
 
     The pair index is one tuple of n*n bitmasks, built eagerly: N(u, v) sits
     at both ``u*n+v`` and ``v*n+u`` (one int object for the two), and every
-    other entry, the diagonal included, is 0.  The link index is built on
-    first use: CSR offsets plus a 3m x 2 pair array holding, for each vertex,
-    its link pairs in edge order.  The dense edge tensor is built only on
-    request (:meth:`edge_tensor`) and never kept.
+    other entry, the diagonal included, is 0.  It is the only index kept: a
+    vertex link is derived from it on request (:meth:`link_pairs`), and the
+    dense edge tensor is built only on request (:meth:`edge_tensor`) and
+    never kept.
     """
 
-    __slots__ = (
-        "n",
-        "triples",
-        "_pair_nbr",
-        "_deg",
-        "_link_cache",
-    )
+    __slots__ = ("n", "triples", "_pair_nbr", "_deg")
+
+    # no link is cached; the benchmark tracer in perfbench/tracing.py still
+    # reads this name to tell a link build from a cached lookup
+    _link_cache = None
 
     def __init__(self, n: int, triples: np.ndarray):
         """Internal constructor; use :func:`from_edges` for validated input."""
@@ -83,7 +89,6 @@ class Hypergraph3:
         self.triples.setflags(write=False)
         self._pair_nbr = self._build_pair_index()
         self._deg = np.bincount(triples.ravel(), minlength=self.n)
-        self._link_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -147,31 +152,19 @@ class Hypergraph3:
         pair, 0 on the diagonal.  The Hamilton DP's neighbourhood input."""
         return self._pair_nbr
 
-    def link_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The CSR link index ``(off, pairs)``: the link of v is
-        ``pairs[off[v]:off[v+1]]``, pairs (a, b) with a < b, in edge order."""
-        if self._link_cache is None:
-            t = self.triples
-            # edge i contributes (b, c) to a, (a, c) to b and (a, b) to c, in
-            # that order, so a stable sort on the owner keeps edge order; on
-            # the narrowest unsigned dtype that holds n it is a radix sort
-            pairs = t[:, [1, 2, 0, 2, 0, 1]].reshape(-1, 2)
-            owner = t.ravel().astype(np.min_scalar_type(self.n))
-            pairs = pairs[np.argsort(owner, kind="stable")]
-            off = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(self._deg, out=off[1:])
-            pairs.setflags(write=False)
-            off.setflags(write=False)
-            self._link_cache = (off, pairs)
-        return self._link_cache
-
     def link_pairs(self, v: int) -> np.ndarray:
-        """The link of ``v``: a read-only k x 2 array of pairs {a, b} with
-        {v,a,b} an edge, in edge order."""
+        """The link of ``v``: a read-only k x 2 int64 array of pairs {a, b},
+        a < b, with {v,a,b} an edge, in edge order.  Derived on each call from
+        the n masks N(v, a): row a keeps its bits b > a, and the cells (a, b)
+        in row-major order are the link in edge order, because dropping v
+        from lexicographically sorted triples keeps their order."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
-        off, pairs = self.link_index()
-        return pairs[off[v] : off[v + 1]]
+        n = self.n
+        rows = [m & (-2 << a) for a, m in enumerate(self._pair_nbr[v * n : (v + 1) * n])]
+        pairs = np.stack(np.divmod(np.flatnonzero(_mask_rows(rows, n)), n), axis=1)
+        pairs.setflags(write=False)
+        return pairs
 
     def edge_tensor(self) -> np.ndarray:
         """The dense n x n x n float32 tensor T with T[a, b, c] = 1 iff

@@ -78,21 +78,28 @@ def pair_index_reference(H) -> dict[int, int]:
     return out
 
 
-def link_pairs_reference(H) -> dict:
-    """The former link cache: one Python pass over the triples, giving each
-    vertex its k x 2 array of link pairs in edge order."""
-    cache = {v: [] for v in range(H.n)}
-    for a, b, c in H.triples.tolist():
-        cache[a].append((b, c))
-        cache[b].append((a, c))
-        cache[c].append((a, b))
-    return {v: np.array(ps, dtype=np.int64).reshape(-1, 2) for v, ps in cache.items()}
+def link_pairs_reference(H, vertices=None) -> dict:
+    """Each vertex's k x 2 int64 array of link pairs in edge order, read off
+    the triples alone: the rows that hold v, in row order, with v removed.
+    ``vertices`` picks the vertices to compute; by default, all of them."""
+    t = H.triples
+    out = {}
+    for v in range(H.n) if vertices is None else vertices:
+        rows = t[(t[:, 0] == v) | (t[:, 1] == v) | (t[:, 2] == v)]
+        out[v] = rows[rows != v].reshape(-1, 2)
+    return out
 
 
-def link_index_lists(H) -> tuple[list[int], list[int], list[int]]:
-    """The link index as the Gray-walk references' ``(off, a, b)`` lists."""
-    off, pairs = H.link_index()
-    return off.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist()
+def link_lists(H) -> tuple[list[int], list[int], list[int]]:
+    """Every link in edge order, from ``link_pairs_reference``, as the
+    Gray-walk references' CSR ``(off, a, b)`` lists: the link of v is
+    ``zip(a, b)[off[v]:off[v+1]]``."""
+    off, a, b = [0], [], []
+    for ps in link_pairs_reference(H).values():
+        a += ps[:, 0].tolist()
+        b += ps[:, 1].tolist()
+        off.append(len(a))
+    return off, a, b
 
 
 def _high_codegree_masks(H: Hypergraph3, thr: float) -> list[int]:
@@ -617,8 +624,7 @@ def _ev_search(H, p, q, seed, restarts=32, budget=None):
     if n == 0:
         return 0, 0
     rng = np.random.Generator(np.random.PCG64(seed))
-    off, pairs = H.link_index()
-    linkkeys = np.split(pairs[:, 0] * n + pairs[:, 1], off[1:-1])
+    linkkeys = [ps[:, 0] * n + ps[:, 1] for ps in link_pairs_reference(H).values()]
     valid = np.array([a * n + b for a in range(n) for b in range(a + 1, n)], dtype=np.int64)
     npairs = len(valid)
     cgrid = np.arange(n, dtype=np.int64)

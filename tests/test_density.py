@@ -204,7 +204,7 @@ def _reference_report(monkeypatch, notion, *args, **kwargs) -> dict:
     the host ``args[0]`` where the searches read its edge tensor."""
     H = args[0]
     with monkeypatch.context() as m:
-        m.setattr(dn, "_ev_search", lambda H, T, *a, **k: oracles._ev_search(H, *a, **k))
+        m.setattr(dn, "_ev_search", lambda T, *a, **k: oracles._ev_search(H, *a, **k))
         m.setattr(dn, "_ev_witness", lambda T, *a: oracles._ev_witness_from_mask(H, *a))
         m.setattr(dn, "_vvv_margins", lambda T, *a: oracles._vvv_margins(H, *a))
         m.setattr(dn, "_ee_alternating", lambda T, *a: oracles._ee_alternating(H, *a))

@@ -241,6 +241,34 @@ def test_index_matches_former_builders(H):
             H.link_pairs(v)
 
 
+def _assert_links_match_reference(H, want):
+    for v in want:
+        got = H.link_pairs(v)
+        assert got.dtype == np.int64 and got.shape == want[v].shape
+        assert np.array_equal(got, want[v]) and not got.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cons.random(150, 0.85, 2),
+        lambda: cons.example1(120, 5),
+        lambda: cons.hp_construction(120, 0.6, 7),
+    ],
+    ids=["random150", "example1-120", "hp120"],
+)
+def test_link_pairs_match_reference_at_workload_scale(make):
+    H = make()
+    _assert_links_match_reference(H, link_pairs_reference(H, range(0, H.n, 7)))
+
+
+def test_link_pairs_survive_an_h3_round_trip(tmp_path):
+    H = cons.example1(120, 5)
+    write_h3(H, str(tmp_path / "g.h3"))
+    want = link_pairs_reference(H, range(0, H.n, 7))
+    _assert_links_match_reference(read_h3(str(tmp_path / "g.h3")), want)
+
+
 @pytest.mark.parametrize(
     "H",
     INDEX_HOSTS

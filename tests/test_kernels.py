@@ -11,7 +11,7 @@ from oracles import (
     gray_ee_exact,
     gray_ev_exact,
     gray_vvv_exact,
-    link_index_lists,
+    link_lists,
 )
 from tightcycles import _pykernels, constructions as cons, density as dn
 
@@ -29,7 +29,7 @@ def test_ev_matches_gray_walk(n):
         T = H.edge_tensor()
         for d in DENSITIES:
             p, q = d.numerator, d.denominator
-            want = gray_ev_exact(n, *link_index_lists(H), p, q)
+            want = gray_ev_exact(n, *link_lists(H), p, q)
             assert _pykernels.ev_exact(T, p, q) == want, (n, d)
 
 
@@ -43,7 +43,7 @@ def test_ev_matches_gray_walk_across_blocks(monkeypatch, n, block):
         T = H.edge_tensor()
         for d in DENSITIES:
             p, q = d.numerator, d.denominator
-            want = gray_ev_exact(n, *link_index_lists(H), p, q)
+            want = gray_ev_exact(n, *link_lists(H), p, q)
             assert _pykernels.ev_exact(T, p, q) == want
 
 
@@ -65,7 +65,7 @@ def test_vvv_matches_gray_walk(n):
         T = H.edge_tensor()
         for d in DENSITIES:
             p, q = d.numerator, d.denominator
-            want = gray_vvv_exact(n, *link_index_lists(H), p, q)
+            want = gray_vvv_exact(n, *link_lists(H), p, q)
             assert _pykernels.vvv_exact(T, p, q) == want, (n, d)
 
 
@@ -156,15 +156,15 @@ def test_huge_denominator_stays_exact(d):
     p, q = d.numerator, d.denominator
     H = cons.random(6, 0.5, 11)
     T = H.edge_tensor()
-    assert _pykernels.ev_exact(T, p, q) == gray_ev_exact(6, *link_index_lists(H), p, q)
-    assert _pykernels.vvv_exact(T, p, q) == gray_vvv_exact(6, *link_index_lists(H), p, q)
+    assert _pykernels.ev_exact(T, p, q) == gray_ev_exact(6, *link_lists(H), p, q)
+    assert _pykernels.vvv_exact(T, p, q) == gray_vvv_exact(6, *link_lists(H), p, q)
     H = cons.random(4, 0.5, 12)
     assert _ee_checked(H, d) == gray_ee_exact(4, H.nbr_flat(), p, q)[0]
     for s in (11, 12, 13):
         H = cons.random(7, 0.5, s)
         for notion, gray in (("ev", gray_ev_exact), ("vvv", gray_vvv_exact)):
             rep = getattr(dn, f"{notion}_deviation")(H, d, "exact")
-            assert Fraction(*rep.raw_fraction) == Fraction(gray(7, *link_index_lists(H), p, q)[0], q)
+            assert Fraction(*rep.raw_fraction) == Fraction(gray(7, *link_lists(H), p, q)[0], q)
             _best_responses_recount(H, d, rep)
         H4 = cons.random(4, 0.5, s)
         rep = dn.ee_deviation(H4, d, "exact")
