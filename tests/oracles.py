@@ -92,8 +92,8 @@ def link_pairs_reference(H, vertices=None) -> dict:
 
 def link_lists(H) -> tuple[list[int], list[int], list[int]]:
     """Every link in edge order, from ``link_pairs_reference``, as the
-    Gray-walk references' CSR ``(off, a, b)`` lists: the link of v is
-    ``zip(a, b)[off[v]:off[v+1]]``."""
+    Gray-walk references' CSR ``(off, a, b)`` lists: the link of v is the
+    pairs (a[j], b[j]) for off[v] <= j < off[v+1]."""
     off, a, b = [0], [], []
     for ps in link_pairs_reference(H).values():
         a += ps[:, 0].tolist()

@@ -218,6 +218,14 @@ def _scrambled_rows(H, seed):
     return rows.reshape(-1, 3)
 
 
+def _assert_links_match_reference(H, want):
+    for v in want:
+        got = H.link_pairs(v)
+        assert got.dtype == np.int64 and got.shape == want[v].shape
+        assert np.array_equal(got, want[v])  # row for row, in edge order
+        assert not got.flags.writeable
+
+
 @pytest.mark.parametrize("H", INDEX_HOSTS)
 def test_index_matches_former_builders(H):
     for seed in range(3):
@@ -230,22 +238,11 @@ def test_index_matches_former_builders(H):
             assert np.array_equal(G.triples, H.triples)
             assert G == H and hash(G) == hash(H)
     links = link_pairs_reference(H)
-    for v in range(H.n):
-        got = H.link_pairs(v)
-        assert got.dtype == np.int64 and got.shape == links[v].shape
-        assert np.array_equal(got, links[v])  # row for row, in edge order
-        assert not got.flags.writeable
-        assert degree(H, v) == len(got)
+    _assert_links_match_reference(H, links)
+    assert [len(links[v]) for v in range(H.n)] == [degree(H, v) for v in range(H.n)]
     for v in (-1, -2, H.n):
         with pytest.raises(ValueError):
             H.link_pairs(v)
-
-
-def _assert_links_match_reference(H, want):
-    for v in want:
-        got = H.link_pairs(v)
-        assert got.dtype == np.int64 and got.shape == want[v].shape
-        assert np.array_equal(got, want[v]) and not got.flags.writeable
 
 
 @pytest.mark.parametrize(
