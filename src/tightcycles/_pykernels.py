@@ -2,11 +2,18 @@
 deviation minimisations.
 
 The Hamilton kernel runs the subset DP on big-integer bitmaps (one bitmap
-per ordered end pair, one bit per visited set), which keeps it usable up to
-n around 16-18.  The deviation kernels read the dense 0/1 edge tensor and
-sweep their subsets as 0/1 rows whose counts are float32 products (see
-:func:`int_matmul`); ev takes its subsets in blocks of ``BLOCK`` rows, which
-bounds its memory at any n.
+per ordered end pair, one bit per visited set), rooted at the pairs (0, b).
+It runs the first root alone.  If that finds no cycle, one union run seeded
+with every other root shows which of them could close, and only those are
+rerun: a skipped root's table lies inside the union's, so it had no closing
+state.  On every two-colouring host tried (``example1``, n = 12 to 20) the
+union admits no root, so each costs two runs instead of n - 1, and n = 20
+(``oracle.DP_MAX_N``) takes 1.1-1.9 s on 2 vCPU.
+
+The deviation kernels read the dense 0/1 edge tensor and sweep their subsets
+as 0/1 rows whose counts are float32 products (see :func:`int_matmul`); ev
+takes its subsets in blocks of ``BLOCK`` rows, which bounds its memory at
+any n.
 """
 
 from __future__ import annotations
@@ -27,8 +34,21 @@ def tight_hamilton_cycle(n: int, nbr: tuple[int, ...]) -> list[int] | None:
     """Find a tight Hamilton cycle, or None.
 
     ``nbr[u*n+v]`` is the bitmask of vertices w with {u,v,w} an edge.
-    The cycle is rooted at vertex 0; roots (0, b) are tried in order and the
-    closing state must satisfy last > b, which canonicalises orientation.
+    The cycle is rooted at vertex 0: a rooted run for the pair (0, b) grows
+    every tight path 0, b, ... and closes at a full state (u, v) with
+    {u,v,0} and {v,0,b} edges and v > b, which canonicalises orientation.
+    Roots are tried in ascending order and the first that closes is
+    returned, in three stages:
+
+    1. the first root runs as a rooted run;
+    2. if it fails, one union run is seeded with every other root at once.
+       Its transitions are the same monotone ORs, so its table is the union
+       of the rooted tables, and a root b is admitted when some full union
+       state (u, v) has {u,v,0} an edge, b < v and b in N(v, 0);
+    3. only the admitted roots are rerun as rooted runs, in ascending order.
+
+    A root that is not admitted has no closing state in its own table, so
+    skipping it changes neither the answer nor the cycle returned.
     """
     if n < 4:
         return None
@@ -44,43 +64,70 @@ def tight_hamilton_cycle(n: int, nbr: tuple[int, ...]) -> list[int] | None:
             width <<= 1
         without.append(pat)
 
-    for b in range(1, n):
-        if not nbr[b]:  # pair (0, b) extends through N(0, b)
+    def rooted(b):
+        dp = _grow(n, nbr, without, {b: 1 << (1 | 1 << b)})
+        return _close(n, nbr, dp, b, full)
+
+    roots = [b for b in range(1, n) if nbr[b]]  # (0, b) extends through N(0, b)
+    if not roots:
+        return None
+    cycle = rooted(roots[0])
+    if cycle is not None or len(roots) == 1:
+        return cycle
+    union = _grow(n, nbr, without, {b: 1 << (1 | 1 << b) for b in roots[1:]})
+    admitted = 0
+    for key, bitmap in union.items():
+        if (bitmap >> full) & 1 and nbr[key] & 1:
+            v = key % n
+            admitted |= nbr[v * n] & ((1 << v) - 1)
+    del union  # up to n² bitmaps of 2^n bits, freed before the reruns
+    for b in roots[1:]:
+        if (admitted >> b) & 1:
+            cycle = rooted(b)
+            if cycle is not None:
+                return cycle
+    return None
+
+
+def _grow(n, nbr, without, dp):
+    """Extend the tight paths of ``dp`` (ordered end pair u*n+v -> bitmap
+    of visited sets) in place until every reachable state is set."""
+    for _ in range(n - 2):
+        changed = False
+        for key in list(dp):
+            cur = dp[key]
+            v = key % n
+            ext = nbr[key]
+            while ext:
+                w = _ctz(ext)
+                ext &= ext - 1
+                add = (cur & without[w]) << (1 << w)
+                if add:
+                    k2 = v * n + w
+                    old = dp.get(k2, 0)
+                    new = old | add
+                    if new != old:
+                        dp[k2] = new
+                        changed = True
+        if not changed:
+            break
+    return dp
+
+
+def _close(n, nbr, dp, b, full):
+    """The cycle of the first closing state of root b's table, or None."""
+    # last pair (u, v), edges {u,v,0} and {v,0,b}, v > b
+    for key, bitmap in dp.items():
+        if not (bitmap >> full) & 1:
             continue
-        seed_mask = 1 | (1 << b)
-        seed_bit = 1 << seed_mask
-        dp: dict[int, int] = {b: seed_bit}  # key: ordered pair u*n+v
-        for _ in range(n - 2):
-            changed = False
-            for key in list(dp):
-                cur = dp[key]
-                v = key % n
-                ext = nbr[key]
-                while ext:
-                    w = _ctz(ext)
-                    ext &= ext - 1
-                    add = (cur & without[w]) << (1 << w)
-                    if add:
-                        k2 = v * n + w
-                        old = dp.get(k2, 0)
-                        new = old | add
-                        if new != old:
-                            dp[k2] = new
-                            changed = True
-            if not changed:
-                break
-        # close: last pair (u, v), edges {u,v,0} and {v,0,b}, v > b
-        for key, bitmap in dp.items():
-            if not (bitmap >> full) & 1:
-                continue
-            u, v = divmod(key, n)
-            if v <= b:
-                continue
-            if not (nbr[key] & 1):
-                continue
-            if not (nbr[v * n] >> b) & 1:
-                continue
-            return _extract(n, nbr, dp, b, u, v, full)
+        u, v = divmod(key, n)
+        if v <= b:
+            continue
+        if not (nbr[key] & 1):
+            continue
+        if not (nbr[v * n] >> b) & 1:
+            continue
+        return _extract(n, nbr, dp, b, u, v, full)
     return None
 
 

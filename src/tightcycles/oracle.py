@@ -44,7 +44,14 @@ def _dp_cycle(H: Hypergraph3) -> Optional[list[int]]:
     # a tight cycle puts every vertex into three edges
     if min_degree(H) < 3:
         return None
-    return kernels.backend().tight_hamilton_cycle(H.n, H.nbr_flat())
+    seq = kernels.backend().tight_hamilton_cycle(H.n, H.nbr_flat())
+    # a Hamilton cycle visits every vertex once, which verify_tight_cycle
+    # alone does not check
+    if seq is not None and not (
+        sorted(seq) == list(range(H.n)) and verify_tight_cycle(H, seq)
+    ):
+        raise UncertifiedResult("DP produced an uncertified cycle")
+    return seq
 
 
 def has_tight_hamilton(H: Hypergraph3) -> bool:
@@ -55,11 +62,7 @@ def has_tight_hamilton(H: Hypergraph3) -> bool:
 def extract_tight_hamilton(H: Hypergraph3) -> Optional[TightPath]:
     """A tight Hamilton cycle when one exists, verified before return."""
     seq = _dp_cycle(H)
-    if seq is None:
-        return None
-    if not verify_tight_cycle(H, seq):
-        raise UncertifiedResult("DP produced an uncertified cycle")
-    return TightPath(tuple(seq), is_cycle=True)
+    return None if seq is None else TightPath(tuple(seq), is_cycle=True)
 
 
 def exhaustive_hamilton(H: Hypergraph3) -> bool:

@@ -4,7 +4,9 @@ These deliberately avoid the per-element sign shortcut the library's exact
 modes rely on: inner minimisations materialise every subset sum by iterative
 doubling, so each oracle genuinely enumerates the full search space.  The ev
 and cherry oracles live in :mod:`tightcycles.oracle`, which the acceptance
-suite shares, and are re-exported here.
+suite shares, and are re-exported here.  The loops the library has replaced
+by faster ones are kept here as references, among them the Hamilton kernel
+that runs one full DP per root (:func:`tight_hamilton_cycle_reference`).
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from tightcycles._pykernels import _ctz
+from tightcycles._pykernels import _ctz, _extract
 from tightcycles.constructions import _rng
 from tightcycles.density import as_density_fraction, ee_value
 from tightcycles.hamilton import Absorber, _eligible_probe, is_absorber
@@ -454,6 +456,73 @@ def naive_tight_hamilton(H) -> bool:
         if ok:
             return True
     return False
+
+
+def tight_hamilton_cycle_reference(n: int, nbr) -> list[int] | None:
+    """The former Hamilton kernel: one full rooted subset DP per root pair
+    (0, b), b = 1..n-1, each closed in turn; the library's kernel must
+    return the same list or None."""
+    if n < 4:
+        return None
+    full = (1 << n) - 1
+    # bitmap over visited-set indices in which bit w is clear
+    without = []
+    for w in range(n):
+        block = (1 << (1 << w)) - 1
+        pat = block
+        width = 1 << (w + 1)
+        while width < (1 << n):
+            pat |= pat << width
+            width <<= 1
+        without.append(pat)
+
+    for b in range(1, n):
+        if not nbr[b]:  # pair (0, b) extends through N(0, b)
+            continue
+        seed_mask = 1 | (1 << b)
+        seed_bit = 1 << seed_mask
+        dp: dict[int, int] = {b: seed_bit}  # key: ordered pair u*n+v
+        for _ in range(n - 2):
+            changed = False
+            for key in list(dp):
+                cur = dp[key]
+                v = key % n
+                ext = nbr[key]
+                while ext:
+                    w = _ctz(ext)
+                    ext &= ext - 1
+                    add = (cur & without[w]) << (1 << w)
+                    if add:
+                        k2 = v * n + w
+                        old = dp.get(k2, 0)
+                        new = old | add
+                        if new != old:
+                            dp[k2] = new
+                            changed = True
+            if not changed:
+                break
+        # close: last pair (u, v), edges {u,v,0} and {v,0,b}, v > b
+        for key, bitmap in dp.items():
+            if not (bitmap >> full) & 1:
+                continue
+            u, v = divmod(key, n)
+            if v <= b:
+                continue
+            if not (nbr[key] & 1):
+                continue
+            if not (nbr[v * n] >> b) & 1:
+                continue
+            return _extract(n, nbr, dp, b, u, v, full)
+    return None
+
+
+def first_root_fails(H) -> bool:
+    """Whether the first rooted run, from the smallest b with N(0, b)
+    nonempty, finds no cycle: the reference then returns None or a cycle
+    (0, b', ...) from a later root b'."""
+    nbr = H.nbr_flat()
+    cycle = tight_hamilton_cycle_reference(H.n, nbr)
+    return cycle is None or cycle[1] != next(b for b in range(1, H.n) if nbr[b])
 
 
 def _blowup_candidates_reference(H, classes, i, used) -> int:

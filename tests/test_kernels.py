@@ -1,17 +1,25 @@
-"""The exact deviation kernels against the Gray-code walks they replaced."""
+"""The exact kernels against the loops they replaced: the deviation
+kernels against their Gray-code walks, the Hamilton kernel against one full
+DP per root."""
 
+import importlib.util
+import json
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import (
     ee_pair_list,
+    first_root_fails,
     gray_ee_exact,
     gray_ev_exact,
     gray_vvv_exact,
     link_lists,
+    tight_hamilton_cycle_reference,
 )
 from tightcycles import _pykernels, constructions as cons, density as dn
 
@@ -174,3 +182,58 @@ def test_huge_denominator_stays_exact(d):
             search = getattr(dn, f"{notion}_deviation")
             _best_responses_recount(H, d, search(H, d, "heuristic", seed=s, restarts=4))
             _best_responses_recount(H, d, search(H, d, "sampled", samples=300, seed=s))
+
+
+def _benchmark_workloads():
+    """The benchmark's workload module, which decodes its reference hosts."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()
+DP_SLOTS = [
+    slot
+    for slot in json.loads(WORKLOADS.REFERENCE.read_text())["slots"]
+    if slot["call"] in ("has_tight_hamilton", "extract_tight_hamilton")
+]
+
+# random(n, p, seed) hosts whose first root finds no cycle and a later one
+# does, so the kernel reaches its union run and reruns an admitted root
+LATER_ROOT_HOSTS = [
+    (8, 0.4, 5), (8, 0.4, 32), (8, 0.5, 1), (8, 0.5, 4),
+    (9, 0.4, 3), (9, 0.4, 10), (9, 0.5, 14),
+    (10, 0.4, 0), (10, 0.4, 15), (10, 0.5, 9),
+    (11, 0.4, 15), (11, 0.4, 34),
+    (12, 0.4, 4), (12, 0.4, 14),
+]
+
+
+def _assert_same_cycle(H):
+    nbr = H.nbr_flat()
+    got = _pykernels.tight_hamilton_cycle(H.n, nbr)
+    assert got == tight_hamilton_cycle_reference(H.n, nbr)
+
+
+@pytest.mark.parametrize("slot", DP_SLOTS, ids=lambda slot: slot["slot"])
+def test_hamilton_dp_matches_rooted_loop_on_benchmark_hosts(slot):
+    assert len(slot["entries"]) > 0
+    for entry in slot["entries"]:
+        _assert_same_cycle(WORKLOADS.host_from_hex(slot["n"], entry["edges"]))
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_hamilton_dp_matches_rooted_loop_on_the_construction(n):
+    """The hosts of acceptance criterion 3 at n = 10 and 12."""
+    for seed in range(20):
+        _assert_same_cycle(cons.example1(n, seed=3000 + seed))
+
+
+def test_hamilton_dp_matches_rooted_loop_where_a_later_root_closes():
+    for n, hp, seed in LATER_ROOT_HOSTS:
+        H = cons.random(n, hp, seed)
+        assert first_root_fails(H) and tight_hamilton_cycle_reference(n, H.nbr_flat())
+        _assert_same_cycle(H)

@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import naive_tight_hamilton
+from oracles import first_root_fails, naive_tight_hamilton
 from tightcycles import constructions as cons
 from tightcycles import oracle as orc
 from tightcycles.errors import BudgetError
-from tightcycles.hypercore import from_edges, verify_tight_cycle
+from tightcycles.hypercore import from_edges, min_degree, verify_tight_cycle
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -18,6 +18,29 @@ def test_dp_agrees_with_exhaustive(seed):
     for n in (5, 6, 7, 8):
         H = cons.random(n, 0.3 + 0.2 * (seed % 4), seed * 31 + n)
         assert orc.has_tight_hamilton(H) == orc.exhaustive_hamilton(H)
+
+
+def test_dp_agrees_with_exhaustive_where_the_first_root_fails():
+    """Hosts on which the first rooted run finds no cycle, so the union run
+    and the reruns of the roots it admits decide, Hamiltonian or not."""
+    n = orc.EXHAUSTIVE_MAX_N
+    verdicts = []
+    for hp in (0.4, 0.5):
+        for seed in range(60):
+            H = cons.random(n, hp, seed)
+            if min_degree(H) < 3 or not first_root_fails(H):
+                continue
+            want = orc.exhaustive_hamilton(H)
+            assert orc.has_tight_hamilton(H) == want, (hp, seed)
+            verdicts.append(want)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+@pytest.mark.parametrize("n, seeds", [(18, (0, 1)), (20, (0,))])
+def test_construction_is_not_hamiltonian_beyond_criterion_3(n, seeds):
+    """The two-colouring construction past criterion 3's n <= 16."""
+    for seed in seeds:
+        assert not orc.has_tight_hamilton(cons.example1(n, seed=3000 + seed))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -124,6 +147,16 @@ try:
     raise SystemExit("extract_tight_hamilton returned an uncertified cycle")
 except UncertifiedResult:
     pass
+
+# [0, 1, 2, 3] is a tight cycle of K6 that misses two of its six vertices
+K6 = constructions.complete(6)
+kernels.backend().tight_hamilton_cycle = lambda n, nbr: [0, 1, 2, 3]
+for call in (oracle.extract_tight_hamilton, oracle.has_tight_hamilton):
+    try:
+        call(K6)
+        raise SystemExit(call.__name__ + " accepted a cycle that is not Hamilton")
+    except UncertifiedResult:
+        pass
 
 # a DP table without the predecessor chain must not loop forever
 try:
