@@ -72,7 +72,7 @@ def tight_hamilton_cycle(n: int, nbr: tuple[int, ...]) -> list[int] | None:
     if not roots:
         return None
     cycle = rooted(roots[0])
-    if cycle is not None or len(roots) == 1:
+    if cycle is not None:
         return cycle
     union = _grow(n, nbr, without, {b: 1 << (1 | 1 << b) for b in roots[1:]})
     admitted = 0
