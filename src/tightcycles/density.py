@@ -7,12 +7,15 @@ vertex) and are only allowed below fixed budgets; heuristic and sampled modes
 are restricted searches whose witnesses are recounted exactly, so a reported
 violation is always genuine.
 
-Every search step, restart score and witness counts "how many thirds x of a
-pair lie in a set" with :func:`hypercore.pair_counts`, a float32 product over
-the dense edge tensor.  Each ``*_deviation`` call builds that tensor once
-(4n^3 bytes), hands it to its search, its witness and, in exact mode, its
-kernel, and drops it on return.  The recounts ``ev_value``, ``vvv_value`` and
-``ee_value`` stay independent of it.
+Every vvv and ee search step, every restart score and every witness counts
+"how many thirds x of a pair lie in a set" with :func:`hypercore.pair_counts`,
+a float32 product over the dense edge tensor.  An ev search step counts
+nothing: it prices a vertex flip from packed bitsets over the pairs, each
+vertex's link and four planes of the current counts, which only an accepted
+flip rebuilds (see ``_ev_search``).  Each ``*_deviation`` call builds the
+tensor once (4n^3 bytes), hands it to its search, its witness and, in exact
+mode, its kernel, and drops it on return.  The recounts ``ev_value``,
+``vvv_value`` and ``ee_value`` stay independent of it.
 
 The target density d is handled as a rational p/q throughout (floats are
 snapped to the nearest fraction with denominator <= 10^9), which makes raw
@@ -254,61 +257,119 @@ def ev_deviation(
     )
 
 
+_EV_BLOCK = 16  # pending draws priced per array pass; 32 measured the same
+
+
+def _packed(B) -> np.ndarray:
+    """The boolean rows of B packed little-endian into uint64 words, the last
+    word zero-padded."""
+    b = np.packbits(B, axis=-1, bitorder="little")
+    out = np.zeros(b.shape[:-1] + (-(-b.shape[-1] // 8),), np.uint64)
+    out.view(np.uint8)[..., : b.shape[-1]] = b
+    return out
+
+
 def _ev_search(T, p, q, seed, restarts=32, budget=None):
     """Local search over X; returns (best X mask, proposals evaluated).
 
-    Each restart starts from the counts |N(y,z) ∩ X| of ``pair_counts`` and
-    their histogram over unordered pairs.  Flipping v moves each pair in v's
-    link by the same ±1, so the candidate histogram takes one ``bincount`` of
-    their counts, shifted by one place; it is written only on acceptance.
+    The objective of X is s = 2 * sum over unordered pairs ab of
+    min(q*c_ab - p*|X|, 0), with c_ab = |N(a, b) ∩ X|; each restart takes the
+    counts from ``pair_counts``.  Flipping v in direction δ (+1 adds v, -1
+    removes it) moves the count of each pair in v's link by δ.  With
+    k' = |X| + δ and m = p*k', the flip's objective is
+
+        s2(v) = 2*G(k') + 2 * sum over ab in link(v) of h_δ(c_ab),
+        G(k') = hist @ min(c*q - m, 0),
+
+    hist being the histogram of the counts.  With (c0, r) = divmod(m, q):
+
+        h_{+1}(c) = q*[c < c0] + r*[c = c0],
+        h_{-1}(c) = -q*[c < c0 + 1] - r*[c = c0 + 1].
+
+    So a state keeps 2*G(|X| ± 1) and, per direction, two planes over the
+    pairs (the count is below the threshold, the count equals it), packed
+    into uint64 words as each vertex's link is once per call.  A price is two
+    popcounts of v's link ANDed with those planes.  Only an accepted flip
+    rebuilds the state: its link pairs' counts move by δ, and its price is the
+    new state's objective.
+
+    Draws come ``rng.integers(n, size=m)`` at a time, m being the proposals
+    left before the restart stalls out or the budget ends, so each of them is
+    proposed whatever is accepted.  Chunked draws read the generator's stream
+    exactly as one scalar draw per proposal does, so every restart's
+    ``rng.random(n)`` sees the same generator state as a scalar loop would.
+    The pending draws are priced ``_EV_BLOCK`` at a time against the current
+    state; the first whose price is below s is accepted, and the scan resumes
+    after it.
     """
     n = len(T)
     if n == 0:
         return 0, 0
     rng = np.random.Generator(np.random.PCG64(seed))
     upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))  # keys a*n+b, a < b
-    # v's link pairs as keys, in edge order (see link_pairs)
-    linkkeys = [upper[T[v].ravel()[upper] != 0] for v in range(n)]
-    cq = np.arange(n).astype(_wide(p, q, n)) * q
+    npairs = len(upper)
+    links = _packed(T.reshape(n, n * n)[:, upper] != 0)  # v's link over the pairs
+    dt = _wide(p, q, n)
+    cq = np.arange(n).astype(dt) * q
 
-    def objective(hist, k):
-        return 2 * int(hist @ np.minimum(cq - p * k, 0))
+    def G(hist, k):
+        return int(hist @ np.minimum(cq - p * k, 0))
+
+    def priced(cnt, k):
+        """Per direction (0 removes, 1 adds): 2*G(k'), the weights of the
+        two plane popcounts, and the two planes."""
+        hist = np.bincount(cnt, minlength=n)
+        (c1, r1), (c0, r0) = divmod(p * (k - 1), q), divmod(p * (k + 1), q)
+        base = np.array([2 * G(hist, k - 1), 2 * G(hist, k + 1)], dtype=dt)
+        weights = np.array([[-2 * q, -2 * r1], [2 * q, 2 * r0]], dtype=dt)
+        t = np.array([[c1 + 1], [c0]])
+        return base, weights, _packed(np.stack([cnt < t, cnt == t], axis=1))
 
     best_num = 0
     best_mask = 0
     used = 0
     r = 0
+    limit = max(4 * n, 64)
     while r < restarts if budget is None else used < budget:
         xb = np.ones(n, dtype=bool) if r == 0 else rng.random(n) < 0.5
         xmask = mask_of(np.flatnonzero(xb).tolist())
+        add = (~xb).astype(np.intp)  # a flip's direction index
         k = xmask.bit_count()
-        cnt = pair_counts(T, xb).ravel()
-        hist = np.bincount(cnt[upper], minlength=n)
-        s = objective(hist, k)
+        cnt = pair_counts(T, xb).ravel()[upper]
+        s = 2 * G(np.bincount(cnt, minlength=n), k)
         if s < best_num:
             best_num, best_mask = s, xmask
+        base, weights, planes = priced(cnt, k)
         stall = 0
-        limit = max(4 * n, 64)
         while stall < limit and (budget is None or used < budget):
-            v = int(rng.integers(n))
-            keys = linkkeys[v]
-            delta = -1 if (xmask >> v) & 1 else 1
-            old = cnt[keys]
-            # moved[c + 1] pairs leave count c for c + delta; a link pair's
-            # count stays in 0..n-2, so both pads are 0
-            moved = np.bincount(old + 1, minlength=n + 2)
-            hist2 = hist - moved[1:-1] + moved[1 - delta : n + 1 - delta]
-            s2 = objective(hist2, k + delta)
-            used += 1
-            if s2 < s:
-                s, k, hist = s2, k + delta, hist2
-                cnt[keys] = old + delta
+            m = limit - stall if budget is None else min(limit - stall, budget - used)
+            draws = rng.integers(n, size=m)
+            i = 0
+            while i < m:
+                vs = draws[i : i + _EV_BLOCK]
+                d = add[vs]
+                hits = np.bitwise_count(links[vs][:, None] & planes[d]).sum(-1, dtype=np.int64)
+                price = base[d] + (hits * weights[d]).sum(1)
+                hit = np.flatnonzero(price < s)
+                if not len(hit):
+                    i += len(vs)
+                    used += len(vs)
+                    stall += len(vs)
+                    continue
+                j = int(hit[0])
+                v = int(vs[j])
+                i += j + 1
+                used += j + 1
+                stall = 0
+                delta = 2 * int(add[v]) - 1
+                s, k = int(price[j]), k + delta
                 xmask ^= 1 << v
+                add[v] ^= 1
+                link = np.unpackbits(links[v].view(np.uint8), count=npairs, bitorder="little")
+                (np.add if delta > 0 else np.subtract)(cnt, link, out=cnt)
+                base, weights, planes = priced(cnt, k)
                 if s < best_num:
                     best_num, best_mask = s, xmask
-                stall = 0
-            else:
-                stall += 1
         r += 1
     return best_mask, used
 

@@ -695,8 +695,9 @@ def _ev_search(H, p, q, seed, restarts=32, budget=None):
     rng = np.random.Generator(np.random.PCG64(seed))
     linkkeys = [ps[:, 0] * n + ps[:, 1] for ps in link_pairs_reference(H).values()]
     valid = np.array([a * n + b for a in range(n) for b in range(a + 1, n)], dtype=np.int64)
-    npairs = len(valid)
-    cgrid = np.arange(n, dtype=np.int64)
+    # Python integers once a margin c*q - p*k could leave int64 (a density
+    # with a huge denominator); below that, int64 gives the same values
+    cgrid = np.arange(n, dtype=np.int64 if (p + q) * n**3 < 2**62 else object)
 
     def objective(hist, k):
         marg = cgrid * q - p * k

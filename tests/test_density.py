@@ -59,6 +59,21 @@ def test_ev_sampled_reports_samples():
     assert not r.exact
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 120, 200, 257])
+def test_chunked_draws_read_the_scalar_stream(n):
+    """``_ev_search`` draws its proposals with ``integers(n, size=m)`` and
+    starts each restart with ``random(n)``.  Its results equal a search that
+    draws one ``integers(n)`` per proposal only while m chunked draws read the
+    generator's stream exactly as m scalar draws do."""
+    sizes = np.random.Generator(np.random.PCG64(n)).integers(1, 50, size=40).tolist()
+    chunked, scalar = (np.random.Generator(np.random.PCG64(1000 + n)) for _ in "ab")
+    for i, m in enumerate(sizes):
+        assert chunked.integers(n, size=m).tolist() == [int(scalar.integers(n)) for _ in range(m)]
+        if i % 3 == 2:
+            assert chunked.random(n).tolist() == scalar.random(n).tolist()
+    assert chunked.bit_generator.state == scalar.bit_generator.state
+
+
 def test_ev_witness_recounts():
     H = cons.random(8, 0.6, 11)
     r = dn.ev_deviation(H, Fraction(1, 3), "exact")
@@ -284,6 +299,31 @@ def test_restart_scores_equal_the_recounts(H):
                 assert used < left + 2
                 want = dn.ee_value(H, d, dn._pairs(P2), dn._pairs(Q2))
                 assert Fraction(int(score), q) == want
+
+
+@pytest.mark.parametrize(
+    "H",
+    [cons.example1(30, 2), cons.random(20, 0.6, 4), cons.hp_construction(24, 0.9, 1)],
+    ids=["example1", "random20", "hp24"],
+)
+def test_ev_search_matches_the_reference(H):
+    """Budgets that end inside a block of draws and before the first block
+    ends, and restarts without a budget, at every score density (the huge
+    denominators take the Python-integer prices)."""
+    T = H.edge_tensor()
+    for d in SCORE_DENSITIES:
+        p, q = d.numerator, d.denominator
+        for kw in ({"budget": 997}, {"budget": 5}, {"restarts": 4}):
+            assert dn._ev_search(T, p, q, H.n, **kw) == oracles._ev_search(H, p, q, H.n, **kw)
+
+
+@pytest.mark.parametrize("family", ["example1", "hp"])
+def test_ev_search_matches_the_reference_at_workload_scale(family):
+    """A ``density_sampled`` search: n = 120, d = 3/10, 10 000 proposals,
+    which rebuild the pricing state some hundreds of times."""
+    H = cons.example1(120, 5) if family == "example1" else cons.hp_construction(120, 0.6, 7)
+    got = dn._ev_search(H.edge_tensor(), 3, 10, 11, budget=10_000)
+    assert got == oracles._ev_search(H, 3, 10, 11, budget=10_000)
 
 
 @pytest.mark.parametrize("notion", ["ev", "vvv", "ee"])
