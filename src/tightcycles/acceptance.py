@@ -28,9 +28,9 @@ class CriterionResult:
 
 
 def _timed(number, name, fn) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     passed, details = fn()
-    return CriterionResult(number, name, passed, details, time.time() - t0)
+    return CriterionResult(number, name, passed, details, time.perf_counter() - t0)
 
 
 # -- 1: oracle agreement ------------------------------------------------------
@@ -40,14 +40,14 @@ def criterion_1() -> CriterionResult:
     def run():
         ps = (0.3, 0.5, 0.7, 0.9)
         mismatches = 0
-        t0 = time.time()
+        t0 = time.perf_counter()
         for i in range(200):
             n = 5 + i % 4
             p = ps[(i // 4) % 4]
             H = cons.random(n, p, seed=1000 + i)
             if oracle.has_tight_hamilton(H) != oracle.exhaustive_hamilton(H):
                 mismatches += 1
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         return mismatches == 0 and elapsed < 30.0, {
             "instances": 200,
             "mismatches": mismatches,
@@ -82,7 +82,7 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     def run():
-        t0 = time.time()
+        t0 = time.perf_counter()
         false_count = 0
         total = 0
         for n in (10, 12, 14, 16):
@@ -91,7 +91,7 @@ def criterion_3() -> CriterionResult:
                 total += 1
                 if not oracle.has_tight_hamilton(H):
                     false_count += 1
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         return false_count == total and elapsed < 300.0, {
             "instances": total,
             "non_hamiltonian": false_count,
@@ -211,11 +211,11 @@ def criterion_7() -> CriterionResult:
         worst = 0.0
         for seed in range(20):
             H = cons.random(36, 0.9, seed)
-            t0 = time.time()
+            t0 = time.perf_counter()
             cyc, _ = hamilton.find_tight_hamilton(
                 H, hamilton.PipelineParams(seed=seed, retries=5)
             )
-            worst = max(worst, time.time() - t0)
+            worst = max(worst, time.perf_counter() - t0)
             if cyc is not None:
                 successes += 1
         complete_ok = 0

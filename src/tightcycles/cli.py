@@ -159,7 +159,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error(f"--strict requires --seed for '{args.command}'")
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         args.seed = 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         code, payload = _dispatch(args)
     except Exception as exc:  # every failure leaves with its documented code
@@ -174,7 +174,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             diag["traceback"] = traceback.format_exc()
         print(json.dumps(diag, sort_keys=True), file=sys.stderr)
         return code
-    _emit(args, payload, {"total": time.time() - t0})
+    _emit(args, payload, {"total": time.perf_counter() - t0})
     return code
 
 

@@ -12,10 +12,15 @@ Every vvv and ee search step, every restart score and every witness counts
 a float32 product over the dense edge tensor.  An ev search step counts
 nothing: it prices a vertex flip from packed bitsets over the pairs, each
 vertex's link and four planes of the current counts, which only an accepted
-flip rebuilds (see ``_ev_search``).  Each ``*_deviation`` call builds the
-tensor once (4n^3 bytes), hands it to its search, its witness and, in exact
-mode, its kernel, and drops it on return.  The recounts ``ev_value``,
-``vvv_value`` and ``ee_value`` stay independent of it.
+flip rebuilds (see ``_ev_search``).
+
+The three ``*_deviation`` functions share one frame.  ``_prepare`` checks
+the mode, snaps d, refuses an exact call above the notion's cap or a search
+budget that runs nothing, and builds the tensor once (4n^3 bytes).  The
+notion then runs its kernel or its search and derives its witness, and
+``_conclude`` recounts the witness and assembles the report.  The vvv and ee
+searches share one restart loop (``_restarts``).  The recounts ``ev_value``,
+``vvv_value`` and ``ee_value`` stay independent of the tensor.
 
 The target density d is handled as a rational p/q throughout (floats are
 snapped to the nearest fraction with denominator <= 10^9), which makes raw
@@ -155,20 +160,43 @@ def ee_value(H, d, P: Iterable[tuple[int, int]], Q: Iterable[tuple[int, int]]) -
     return e - d * k
 
 
-def _report(notion, H, mode, dfrac, raw: Fraction, witness, exact, samples=None):
-    n3 = max(H.n, 1) ** 3
-    rho = Fraction(0) if raw >= 0 else -raw / n3
+def _prepare(notion, cap, H, d, mode, samples, restarts):
+    """The steps before a deviation's search: check the mode, snap d to p/q,
+    refuse an exact call above the notion's ``cap`` (before the tensor is
+    built) or a search budget that would run nothing (it would report no
+    violation), and build the edge tensor.  Returns (T, p, q, budget), the
+    budget being ``samples`` in sampled mode and None otherwise."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}")
+    dfrac = as_density_fraction(d)
+    if mode == "exact" and H.n > cap:
+        raise BudgetError(f"{notion} exact exceeds exact budget (n={H.n} > {cap})")
+    if mode != "exact":
+        check_budget("restarts", restarts)
+    if mode == "sampled":
+        check_budget("samples", samples)
+    budget = samples if mode == "sampled" else None
+    return H.edge_tensor(), dfrac.numerator, dfrac.denominator, budget
+
+
+def _conclude(notion, recount, H, mode, p, q, witness, used):
+    """The report of a witness: ``recount`` gives its raw value in exact
+    arithmetic, and ``used``, what the search spent, is reported as
+    ``samples`` in sampled mode."""
+    dfrac = Fraction(p, q)
+    raw = recount(H, dfrac, **witness)
+    rho = Fraction(0) if raw >= 0 else -raw / max(H.n, 1) ** 3
     return DeviationReport(
         notion=notion,
         d=float(dfrac),
         raw=float(raw),
         rho_hat=float(rho),
         witness=witness,
-        exact=exact,
+        exact=mode == "exact",
         mode=mode,
         n=H.n,
         raw_fraction=(raw.numerator, raw.denominator),
-        samples=samples,
+        samples=used if mode == "sampled" else None,
     )
 
 
@@ -182,16 +210,6 @@ def _margin(a, b, p, q, n) -> np.ndarray:
     return np.asarray(a).astype(dt) * q - p * np.asarray(b).astype(dt)
 
 
-def _search_budget(mode, samples, restarts):
-    """The proposal budget of a heuristic (None) or sampled search.  A budget
-    that would run no search is refused: it would report no violation."""
-    check_budget("restarts", restarts)
-    if mode != "sampled":
-        return None
-    check_budget("samples", samples)
-    return samples
-
-
 def _pairs(M: np.ndarray) -> list[tuple[int, int]]:
     """The pairs (u, v) set in a boolean matrix, in row-major order."""
     return [tuple(uv) for uv in np.argwhere(M).tolist()]
@@ -203,6 +221,28 @@ def _offdiag(n: int, flags) -> np.ndarray:
     M = np.zeros((n, n), dtype=bool)
     M[~np.eye(n, dtype=bool)] = flags
     return M
+
+
+def _restarts(seed, restarts, budget, size, empty, descend):
+    """The restart loop of the vvv and ee searches.  Restart r draws ``size``
+    start flags (all set for r = 0, fair coins after) and runs
+    ``descend(flags, left)``, which returns the state it reached, then the
+    best responses it made with at most ``left`` allowed and its score.  The
+    loop stops after ``restarts`` restarts or once ``budget`` best responses
+    (None: no bound) are spent.  Returns the state of the lowest score below 0
+    (``empty`` if no score is) and the best responses made."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    left = math.inf if budget is None else budget
+    best_val, best, used = 0, empty, 0
+    for r in range(restarts):
+        if used >= left:
+            break
+        flags = np.ones(size, dtype=bool) if r == 0 else rng.random(size) < 0.5
+        *state, steps, val = descend(flags, left - used)
+        used += steps
+        if val < best_val:
+            best_val, best = val, state
+    return best, used
 
 
 # -- ev ----------------------------------------------------------------------
@@ -228,33 +268,18 @@ def ev_deviation(
     """Deviation over vertex sets X and ordered pair collections P.
 
     exact: Gray-code enumeration of X with per-pair optimal P (n <= 24).
-    heuristic: seeded multi-restart local search over X.
-    sampled: the same search bounded by a total number of flip proposals.
+    heuristic: seeded local search over X, ``restarts`` restarts of it.
+    sampled: the same search, restarted until exactly ``samples`` flip
+    proposals are spent; ``restarts`` is only validated.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    dfrac = as_density_fraction(d)
-    p, q = dfrac.numerator, dfrac.denominator
+    T, p, q, budget = _prepare("ev", EV_EXACT_MAX_N, H, d, mode, samples, restarts)
+    used = None
     if mode == "exact":
-        if H.n > EV_EXACT_MAX_N:
-            raise BudgetError(
-                f"ev exact exceeds exact budget (n={H.n} > {EV_EXACT_MAX_N})"
-            )
-        T = H.edge_tensor()
-        _, xmask = kernels.backend().ev_exact(T, p, q)
-        xs, P = _ev_witness(T, p, q, int(xmask))
-        raw = ev_value(H, dfrac, xs, P)
-        return _report("ev", H, mode, dfrac, raw, {"X": xs, "P": P}, True)
-
-    budget = _search_budget(mode, samples, restarts)
-    T = H.edge_tensor()
-    xmask, used = _ev_search(T, p, q, seed, restarts=restarts, budget=budget)
+        xmask = int(kernels.backend().ev_exact(T, p, q)[1])
+    else:
+        xmask, used = _ev_search(T, p, q, seed, restarts=restarts, budget=budget)
     xs, P = _ev_witness(T, p, q, xmask)
-    raw = ev_value(H, dfrac, xs, P)
-    return _report(
-        "ev", H, mode, dfrac, raw, {"X": xs, "P": P}, False,
-        samples=used if mode == "sampled" else None,
-    )
+    return _conclude("ev", ev_value, H, mode, p, q, {"X": xs, "P": P}, used)
 
 
 # pending draws priced per array pass, which ends at the first accepted draw;
@@ -395,32 +420,23 @@ def vvv_deviation(
     """Deviation over vertex set triples (X, Y, Z).
 
     exact: Gray-code enumeration of (X, Y) with per-vertex optimal Z (n <= 11).
-    heuristic/sampled: alternating minimisation with seeded restarts.
+    heuristic/sampled: alternating best responses from ``restarts`` seeded
+    restarts; sampled mode also stops once ``samples`` best responses are
+    spent, so its ``samples`` reports what was spent, which can fall far
+    below the budget (3 per round, at most 40 rounds per restart).
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    dfrac = as_density_fraction(d)
-    p, q = dfrac.numerator, dfrac.denominator
+    T, p, q, budget = _prepare("vvv", VVV_EXACT_MAX_N, H, d, mode, samples, restarts)
+    n, used = H.n, None
     if mode == "exact":
-        if H.n > VVV_EXACT_MAX_N:
-            raise BudgetError(
-                f"vvv exact exceeds exact budget (n={H.n} > {VVV_EXACT_MAX_N})"
-            )
-        T = H.edge_tensor()
         _, xm, ym = kernels.backend().vvv_exact(T, p, q)
-        xs, ys, zs = _vvv_witness(T, p, q, mask_bools(int(xm), H.n), mask_bools(int(ym), H.n))
-        raw = vvv_value(H, dfrac, xs, ys, zs)
-        return _report("vvv", H, mode, dfrac, raw, {"X": xs, "Y": ys, "Z": zs}, True)
-
-    budget = _search_budget(mode, samples, restarts)
-    T = H.edge_tensor()
-    (xb, yb), used = _vvv_alternating(T, p, q, seed, restarts, budget)
+        xb, yb = mask_bools(int(xm), n), mask_bools(int(ym), n)
+    else:
+        (xb, yb), used = _restarts(
+            seed, restarts, budget, 2 * n, (np.zeros(n, dtype=bool),) * 2,
+            lambda flags, left: _vvv_descend(T, p, q, *flags.reshape(2, n), left),
+        )
     xs, ys, zs = _vvv_witness(T, p, q, xb, yb)
-    raw = vvv_value(H, dfrac, xs, ys, zs)
-    return _report(
-        "vvv", H, mode, dfrac, raw, {"X": xs, "Y": ys, "Z": zs}, False,
-        samples=used if mode == "sampled" else None,
-    )
+    return _conclude("vvv", vvv_value, H, mode, p, q, {"X": xs, "Y": ys, "Z": zs}, used)
 
 
 def _vvv_slack(T, p, q, a, b):
@@ -458,24 +474,6 @@ def _vvv_descend(T, p, q, xb, yb, left):
     return xb, yb, used, slack[slack < 0].sum()
 
 
-def _vvv_alternating(T, p, q, seed, restarts, budget):
-    n = len(T)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    left = math.inf if budget is None else budget
-    best_val = 0
-    best = (np.zeros(n, dtype=bool),) * 2
-    used = 0
-    for r in range(restarts):
-        if used >= left:
-            break
-        xb, yb = (np.ones(n, dtype=bool) if r == 0 else rng.random(n) < 0.5 for _ in "xy")
-        xb, yb, steps, val = _vvv_descend(T, p, q, xb, yb, left - used)
-        used += steps
-        if val < best_val:
-            best_val, best = val, (xb, yb)
-    return best, used
-
-
 # -- ee ----------------------------------------------------------------------
 
 
@@ -491,32 +489,22 @@ def ee_deviation(
 
     exact: per middle vertex y, enumeration of the sections
     S_y = {x : (x, y) in P} with per-pair optimal Q (n <= 12).
-    heuristic/sampled: alternating minimisation (fix P, optimise Q; swap).
+    heuristic/sampled: alternating best responses (fix P, optimise Q; swap)
+    from ``restarts`` seeded restarts; sampled mode also stops once
+    ``samples`` best responses are spent, so its ``samples`` reports what was
+    spent, which can fall far below the budget (2 per round, at most 40
+    rounds per restart).
     Only triples of three distinct vertices contribute.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    dfrac = as_density_fraction(d)
-    p, q = dfrac.numerator, dfrac.denominator
+    T, p, q, budget = _prepare("ee", EE_EXACT_MAX_N, H, d, mode, samples, restarts)
+    used = None
     if mode == "exact":
-        if H.n > EE_EXACT_MAX_N:
-            raise BudgetError(
-                f"ee exact exceeds exact budget (n={H.n} > {EE_EXACT_MAX_N})"
-            )
-        T = H.edge_tensor()
         _, pmask = kernels.backend().ee_exact(T, p, q)
         Pm = _offdiag(H.n, mask_bools(int(pmask), H.n * (H.n - 1)))
         P, Q = _pairs(Pm), _pairs(_ee_best(T, p, q, Pm.T))
-        raw = ee_value(H, dfrac, P, Q)
-        return _report("ee", H, mode, dfrac, raw, {"P": P, "Q": Q}, True)
-
-    budget = _search_budget(mode, samples, restarts)
-    (P, Q), used = _ee_alternating(H.edge_tensor(), p, q, seed, restarts, budget)
-    raw = ee_value(H, dfrac, P, Q)
-    return _report(
-        "ee", H, mode, dfrac, raw, {"P": P, "Q": Q}, False,
-        samples=used if mode == "sampled" else None,
-    )
+    else:
+        (P, Q), used = _ee_alternating(T, p, q, seed, restarts, budget)
+    return _conclude("ee", ee_value, H, mode, p, q, {"P": P, "Q": Q}, used)
 
 
 def _ee_slack(T, p, q, S):
@@ -561,18 +549,10 @@ def _ee_descend(T, p, q, Pm, left):
 
 
 def _ee_alternating(T, p, q, seed, restarts, budget):
+    """The ee search: P and Q as pair lists, and the best responses made."""
     n = len(T)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    left = math.inf if budget is None else budget
-    best_val = 0
-    best = (np.zeros((n, n), dtype=bool),) * 2
-    used = 0
-    for r in range(restarts):
-        if used >= left:
-            break
-        Pm = _offdiag(n, True if r == 0 else rng.random(n * (n - 1)) < 0.5)
-        Pm, Qm, steps, val = _ee_descend(T, p, q, Pm, left - used)
-        used += steps
-        if val < best_val:
-            best_val, best = val, (Pm, Qm)
-    return (_pairs(best[0]), _pairs(best[1])), used
+    (Pm, Qm), used = _restarts(
+        seed, restarts, budget, n * (n - 1), (np.zeros((n, n), dtype=bool),) * 2,
+        lambda flags, left: _ee_descend(T, p, q, _offdiag(n, flags), left),
+    )
+    return (_pairs(Pm), _pairs(Qm)), used

@@ -61,6 +61,13 @@ GADGET_BUDGET = 60000  # nodes per blow-up seed; see find_c8_blowup
 K333_TRIES = 400  # core seeds per absorber attempt; see find_k333
 
 
+def _check_fractions(beta: float, gamma: float) -> None:
+    """Refuse a connectability fraction beta or a reservoir fraction gamma
+    outside (0, 1) with ValueError."""
+    if not 0 < beta < 1 or not 0 < gamma < 1:
+        raise ValueError("beta and gamma must lie in (0, 1)")
+
+
 @dataclass
 class PipelineParams:
     """What a caller sets for the assembly pipeline.
@@ -84,8 +91,7 @@ class PipelineParams:
     use_gadget: bool = False
 
     def __post_init__(self):
-        if not 0 < self.beta < 1 or not 0 < self.gamma < 1:
-            raise ValueError("beta and gamma must lie in (0, 1)")
+        _check_fractions(self.beta, self.gamma)
         if self.mode not in ("ev", "ee"):
             raise ValueError("mode must be 'ev' or 'ee'")
         check_budget("retries", self.retries)
@@ -235,8 +241,10 @@ def almost_cover(
 
     Paths are grown greedily inside the cleaned restriction to the still
     uncovered vertices; a returned uncovered set larger than gamma^2 * n is a
-    heuristic shortfall, not an error.
+    heuristic shortfall, not an error.  A beta or gamma outside (0, 1) raises
+    ValueError.
     """
+    _check_fractions(beta, gamma)
     n = H.n
     thr = beta * n
     min_len = max(4, ceil(thr))

@@ -83,7 +83,10 @@ class Hypergraph3:
     _link_cache = None
 
     def __init__(self, n: int, triples: np.ndarray):
-        """Internal constructor; use :func:`from_edges` for validated input."""
+        """Internal constructor; use :func:`from_edges` for validated input.
+        A negative vertex count raises ValueError."""
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         self.n = int(n)
         self.triples = triples  # m x 3 int64, rows sorted, lexicographically ordered
         self.triples.setflags(write=False)
@@ -241,8 +244,6 @@ def from_edges(n: int, triples: Iterable[Sequence[int]]) -> Hypergraph3:
 
     Raises ValueError for out-of-range or repeated vertices in a triple.
     """
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
     rows = []
     for t in triples:
         a, b, c = t

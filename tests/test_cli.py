@@ -1,9 +1,10 @@
 import inspect
+import itertools
 import json
 
 import pytest
 
-from tightcycles import cli
+from tightcycles import acceptance, cli
 from tightcycles.hypercore import TightPath, read_h3
 
 
@@ -209,6 +210,34 @@ def test_hamilton_cover_cli(tmp_path, capsys):
     assert res["paths"] and not res["shortfall"]
 
 
+@pytest.mark.parametrize(
+    "command", [("hamilton", "cover"), ("hamilton", "find")], ids=["cover", "find"]
+)
+@pytest.mark.parametrize(
+    "flags",
+    [("--beta", "2"), ("--beta", "0"), ("--gamma", "1.5"), ("--gamma", "-0.1")],
+    ids=" ".join,
+)
+def test_beta_gamma_outside_unit_interval_is_exit_3(tmp_path, capsys, command, flags):
+    # before, cover took --gamma 1.5 as a target above n and returned no
+    # paths, every vertex uncovered and "shortfall": false, with exit 0
+    out = tmp_path / "r30.h3"
+    run(capsys, "gen", "--family", "random", "--n", "30", "--p", "0.9", "--seed", "1",
+        "-o", str(out))
+    code, stdout, err = run(capsys, *command, "--seed", "0", *flags, str(out))
+    assert code == 3 and stdout == ""
+    diag = json.loads(err)
+    assert diag["error"] == "ValueError" and "(0, 1)" in diag["message"]
+
+
+@pytest.mark.parametrize("family", ["random", "complete"])
+def test_gen_negative_vertex_count_is_exit_3(tmp_path, capsys, family):
+    code, stdout, err = run(capsys, "gen", "--family", family, "--n", "-5", "--seed", "1",
+                            "-o", str(tmp_path / "x.h3"))
+    assert code == 3 and stdout == ""
+    assert json.loads(err)["message"] == "vertex count must be nonnegative"
+
+
 def test_hamilton_parser_defaults_are_the_library_defaults():
     parser = cli.build_parser()
     pipeline = cli.hamilton.PipelineParams()
@@ -360,3 +389,14 @@ def test_text_format(tmp_path, capsys):
     )
     assert code == 0
     assert "hamiltonian: True" in stdout
+
+
+def test_timings_ignore_wall_clock_steps(tmp_path, capsys, monkeypatch):
+    """The criteria and the CLI time with a monotonic clock: a wall clock
+    that steps back a day on every read moves neither."""
+    wall = itertools.count(0, -86_400)
+    monkeypatch.setattr(cli.time, "time", lambda: float(next(wall)))
+    assert 0 <= acceptance._timed(0, "noop", lambda: (True, {})).seconds < 60
+    code, stdout, _ = run(capsys, "gen", "--family", "complete", "--n", "5",
+                          "-o", str(tmp_path / "k5.h3"))
+    assert code == 0 and 0 <= json.loads(stdout)["timings"]["total"] < 60

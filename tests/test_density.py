@@ -347,6 +347,35 @@ def test_search_budgets_that_run_nothing_are_refused(notion):
     assert search(small, Fraction(3, 10), "exact", samples=0, restarts=0).exact
 
 
+@pytest.mark.parametrize(
+    "notion, cap",
+    [("ev", dn.EV_EXACT_MAX_N), ("vvv", dn.VVV_EXACT_MAX_N), ("ee", dn.EE_EXACT_MAX_N)],
+)
+def test_every_notion_checks_mode_then_density_then_cap(monkeypatch, notion, cap):
+    """The checks each deviation makes before its search, in their order: the
+    mode first, then the density, then (exact mode) the notion's cap, which
+    is refused before the edge tensor is built."""
+    search = getattr(dn, f"{notion}_deviation")
+    big, small = cons.empty(cap + 1), cons.empty(cap)
+    for d in (Fraction(3, 10), 2):
+        with pytest.raises(ValueError, match=r"^mode must be one of \('exact', "):
+            search(big, d, "bogus", samples=0, restarts=0)
+    for d in (Fraction(-1, 10), 1.5, "11/10"):
+        for mode in dn._MODES:
+            with pytest.raises(ValueError, match="density d must lie in"):
+                search(big, d, mode, samples=0, restarts=0)
+
+    def no_tensor(self):
+        raise AssertionError("edge tensor built before the exact cap was checked")
+
+    monkeypatch.setattr(dn.Hypergraph3, "edge_tensor", no_tensor)
+    with pytest.raises(BudgetError) as exc:
+        search(big, Fraction(3, 10), "exact")
+    assert str(exc.value) == f"{notion} exact exceeds exact budget (n={cap + 1} > {cap})"
+    with pytest.raises(AssertionError, match="edge tensor"):
+        search(small, Fraction(3, 10), "exact")
+
+
 # -- recounts ----------------------------------------------------------------
 
 

@@ -54,6 +54,22 @@ def test_from_edges_rejects_repeats_and_range():
         from_edges(3, [(0, 1, 3)])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: from_edges(-1, []),
+        lambda: from_triple_array(-5, np.zeros((0, 3), dtype=np.int64)),
+        lambda: cons.empty(-5),
+        lambda: cons.complete(-5),
+        lambda: cons.random(-5, 0.5, 1),
+    ],
+    ids=["from_edges", "from_triple_array", "empty", "complete", "random"],
+)
+def test_negative_vertex_count_is_refused(build):
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        build()
+
+
 def test_from_edges_dedupes():
     H = from_edges(4, [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
     assert H.m == 1
