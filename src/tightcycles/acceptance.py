@@ -303,9 +303,7 @@ def _fixture_absorber():
     segments = [("kshort", 0, tuple(A.k_path_short()))]
     for i in range(3):
         segments.append(("link", (0, i), tuple(A.link_path(i))))
-    ap = hamilton.AbsorbingPath(
-        segments=segments, absorbers=[A], gadget_classes=None, spare_capacity=1
-    )
+    ap = hamilton.AbsorbingPath(segments=segments, absorbers=[A], gadget_classes=None)
     return H, A, ap, u
 
 

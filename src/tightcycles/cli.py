@@ -18,11 +18,11 @@ import time
 import traceback
 from typing import Optional
 
-from . import constructions, density, hamilton, kernels, motifs, oracle
+from . import constructions, density, hamilton, motifs, oracle
 from .errors import BudgetError, UncertifiedResult
 from .hypercore import Hypergraph3, read_h3, verify_tight_cycle, write_h3
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _digest(path: str) -> str:
@@ -40,7 +40,6 @@ def _emit(args, payload: dict, timings: dict) -> None:
         "schema_version": SCHEMA_VERSION,
         "command": " ".join(sys.argv[1:]),
         "seed": getattr(args, "seed", None),
-        "backend": kernels.backend_name(),
         "result": payload,
     }
     if args.format == "json":
@@ -283,7 +282,7 @@ def _dispatch_hamilton(args) -> tuple[int, dict]:
         paths, uncovered = hamilton.almost_cover(
             H, args.beta, args.gamma, seed=args.seed
         )
-        shortfall = len(uncovered) > args.gamma * args.gamma * H.n
+        shortfall = len(uncovered) > hamilton.cover_target(args.gamma, H.n)
         return 0, {
             "instance": meta,
             "paths": [list(p.vertices) for p in paths],

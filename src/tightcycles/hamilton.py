@@ -43,6 +43,7 @@ __all__ = [
     "CONNECT_BUDGET",
     "MAX_INNER",
     "PipelineParams",
+    "cover_target",
     "connect",
     "almost_cover",
     "find_absorber",
@@ -66,6 +67,12 @@ def _check_fractions(beta: float, gamma: float) -> None:
     outside (0, 1) with ValueError."""
     if not 0 < beta < 1 or not 0 < gamma < 1:
         raise ValueError("beta and gamma must lie in (0, 1)")
+
+
+def cover_target(gamma: float, n: int) -> float:
+    """gamma^2 * n: the uncovered vertices an almost cover aims to leave, and
+    the base of the reservoir and absorber targets."""
+    return gamma * gamma * n
 
 
 @dataclass
@@ -97,7 +104,7 @@ class PipelineParams:
         check_budget("retries", self.retries)
 
     def resolved_reservoir(self, n: int) -> float:
-        target = self.gamma * self.gamma * n
+        target = cover_target(self.gamma, n)
         if target < 6.0:
             target = min(6.0, 0.2 * n)
         target = min(target, max(2.0, n - 27.0))
@@ -144,6 +151,7 @@ def connect(
     if not lengths:
         raise ValueError(f"no inner length in 0..{max_inner} to try")
     check_budget("budget", budget)
+    stats = {} if stats is None else stats
     rng = np.random.Generator(np.random.PCG64(seed))
     # tiny allowed pools (exact-length closings through a reservoir) need the
     # full state variety per pair; wide pools get capped for breadth control
@@ -215,13 +223,11 @@ def connect(
             if seq is not None:
                 if not verify_tight_path(H, seq):
                     raise UncertifiedResult("connect produced an uncertified path")
-                if stats is not None:
-                    stats.update({"expansions": expansions, "inner": l})
+                stats.update({"expansions": expansions, "inner": l})
                 return TightPath(tuple(seq))
         if not ok:
             break
-    if stats is not None:
-        stats.update({"expansions": expansions, "inner": None})
+    stats.update({"expansions": expansions, "inner": None})
     return None
 
 
@@ -248,7 +254,7 @@ def almost_cover(
     n = H.n
     thr = beta * n
     min_len = max(4, ceil(thr))
-    target = gamma * gamma * n
+    target = cover_target(gamma, n)
     uncovered = H.vertex_mask() if allowed is None else mask_of(allowed)
     rng = np.random.Generator(np.random.PCG64(seed))
     paths: list[TightPath] = []
@@ -491,7 +497,6 @@ class AbsorbingPath:
     segments: list  # (kind, tag, vertex tuple); kind in conn|kshort|link|gadget
     absorbers: list
     gadget_classes: Optional[list] = None
-    spare_capacity: int = 0
 
     @property
     def path(self) -> TightPath:
@@ -516,7 +521,9 @@ def build_absorbing_path(
 ) -> Optional[AbsorbingPath]:
     """Collect disjoint absorbers avoiding the reservoir R, plus a flexible
     blow-up gadget when ``params.use_gadget`` is set, and stitch all
-    sub-paths into one tight path with inner connection vertices outside R."""
+    sub-paths into one tight path with inner connection vertices outside R.
+    Its facts, and on failure its ``fail_stage``, go into ``trace``."""
+    trace = {} if trace is None else trace
     n = H.n
     rmask = mask_of(R)
     seed = params.seed if seed is None else seed
@@ -524,7 +531,7 @@ def build_absorbing_path(
     free = n - rmask.bit_count()
     # an opted-in gadget search needs 32 vertices left beside the absorbers
     reserve = 32 if params.use_gadget else 0
-    t_target = 2 * ceil(params.gamma * params.gamma * n)
+    t_target = 2 * ceil(cover_target(params.gamma, n))
     t_target = max(1, min(t_target, (free - reserve - 3) // 22))
     absorbers: list[Absorber] = []
     forbidden = rmask
@@ -541,8 +548,7 @@ def build_absorbing_path(
         absorbers.append(A)
         forbidden |= mask_of(A.all_vertices())
     if not absorbers:
-        if trace is not None:
-            trace["fail_stage"] = "absorber_shortage"
+        trace["fail_stage"] = "absorber_shortage"
         return None
 
     gadget_classes = None
@@ -588,8 +594,7 @@ def build_absorbing_path(
                 chosen = cand
                 break
         if conn is None:
-            if trace is not None:
-                trace["fail_stage"] = "absorbing_connect"
+            trace["fail_stage"] = "absorbing_connect"
             return None
         inner = conn.vertices[2:-2]
         used_conn |= mask_of(inner)
@@ -598,10 +603,7 @@ def build_absorbing_path(
         segments.append(chosen)
 
     ap = AbsorbingPath(
-        segments=segments,
-        absorbers=absorbers,
-        gadget_classes=gadget_classes,
-        spare_capacity=len(absorbers),
+        segments=segments, absorbers=absorbers, gadget_classes=gadget_classes
     )
     seq = ap.vertex_sequence()
     if not verify_tight_path(H, seq):
@@ -610,18 +612,16 @@ def build_absorbing_path(
         is_connectable(H, seq[1], seq[0], params.beta)
         and is_connectable(H, seq[-2], seq[-1], params.beta)
     )
-    if trace is not None:
-        trace.update(
-            {
-                "absorbers": len(absorbers),
-                "gadget": gadget_classes is not None,
-                "length": len(seq),
-                "connectable_ends": ends_ok,
-            }
-        )
+    trace.update(
+        {
+            "absorbers": len(absorbers),
+            "gadget": gadget_classes is not None,
+            "length": len(seq),
+            "connectable_ends": ends_ok,
+        }
+    )
     if not ends_ok:
-        if trace is not None:
-            trace["fail_stage"] = "ends_not_connectable"
+        trace["fail_stage"] = "ends_not_connectable"
         return None
     return ap
 
@@ -650,7 +650,9 @@ def absorb(
     When |U| is not divisible by three the flexible gadget sheds 8 or 16
     vertices into U first; without a gadget that situation is a divisibility
     failure.  U is then split into triples and matched to unused absorbers on
-    eligibility (all six slot assignments tried per pair)."""
+    eligibility (all six slot assignments tried per pair).  Its facts, and on
+    failure its ``fail_stage``, go into ``trace``."""
+    trace = {} if trace is None else trace
     u = sorted(set(int(v) for v in U))
     pmask = A.vertex_mask()
     if any((pmask >> v) & 1 for v in u):
@@ -660,8 +662,7 @@ def absorb(
     drop_layers: tuple[int, ...] = ()
     if len(u) % 3 != 0:
         if A.gadget_classes is None:
-            if trace is not None:
-                trace["fail_stage"] = "divisibility"
+            trace["fail_stage"] = "divisibility"
             return None
         drop_layers = (1,) if (len(u) + 8) % 3 == 0 else (1, 2)
 
@@ -673,9 +674,7 @@ def absorb(
         u = sorted(u + freed)
     triples = [tuple(u[i : i + 3]) for i in range(0, len(u), 3)]
     if len(triples) > len(A.absorbers):
-        if trace is not None:
-            trace["fail_stage"] = "capacity"
-            trace["matched"] = 0
+        trace.update({"fail_stage": "capacity", "matched": 0})
         return None
 
     def fit(tr: tuple, ab: Absorber):
@@ -707,9 +706,7 @@ def absorb(
         if try_assign(ti, set()):
             matched += 1
     if matched < len(triples):
-        if trace is not None:
-            trace["fail_stage"] = "matching"
-            trace["matched"] = matched
+        trace.update({"fail_stage": "matching", "matched": matched})
         return None
 
     rewrites_k = {assign[ti][0] for ti in assign}
@@ -733,9 +730,9 @@ def absorb(
     old = A.vertex_sequence()
     if seq[:2] != old[:2] or seq[-2:] != old[-2:] or not verify_tight_path(H, seq):
         raise UncertifiedResult("absorption produced an uncertified path")
-    if trace is not None:
-        trace["absorbed"] = len(triples) * 3 - len(freed)
-        trace["gadget_removed"] = len(freed)
+    trace.update(
+        {"absorbed": len(triples) * 3 - len(freed), "gadget_removed": len(freed)}
+    )
     return TightPath(seq)
 
 
@@ -747,7 +744,33 @@ def find_tight_hamilton(
 ) -> tuple[Optional[TightPath], dict]:
     """Reservoir sampling, absorbing path, almost cover, cyclic connection
     through the reservoir, parity fixing, absorption.  Returns the verified
-    cycle (or None) plus a per-stage trace; retries with derived seeds."""
+    cycle (or None) plus a trace; retries with derived seeds.
+
+    The trace holds ``n``, ``success_attempt`` (None when every attempt
+    failed), ``cycle_length`` on success, and ``attempts``: one flat record
+    per attempt, with the keys its stages reached:
+
+    - ``attempt``, ``reservoir`` (the reservoir's size);
+    - ``absorbers``, ``gadget``, ``length``, ``connectable_ends``: the
+      absorbing path's absorber count, whether it holds the parity gadget,
+      its vertex count, and whether both its end pairs are connectable;
+    - ``cover``: ``{"paths", "uncovered"}`` of the almost cover;
+    - from the attempt's last parity try: ``trim`` (0, 1 or 2 vertices
+      trimmed off a covered path end), ``connections`` (the inner lengths of
+      the connections through the reservoir), ``leftover`` (the vertices
+      handed to absorption), then ``absorbed`` and ``gadget_removed`` on
+      success or ``matched`` on a matching failure;
+    - ``fail_stage``, on a failed attempt only, one of:
+      ``absorber_shortage`` (no absorber outside the reservoir),
+      ``absorbing_connect`` (two absorber sub-paths did not connect) and
+      ``ends_not_connectable`` (an end pair of the absorbing path is not
+      connectable), set by ``build_absorbing_path``; ``parity_planning`` (no
+      closing length leaves a leftover the absorbers can take) and
+      ``connect_<i>`` (connection i through the reservoir not found, the
+      last one closing the cycle), set by the connection stage; ``matching``
+      (the leftover's triples do not all match absorbers), set by
+      ``absorb``.
+    """
     if params is None:
         params = PipelineParams()
     n = H.n
@@ -778,13 +801,10 @@ def _attempt(H, params, attempt, at) -> Optional[TightPath]:
             rmask |= 1 << v
     at["reservoir"] = rmask.bit_count()
 
-    ap_trace: dict = {}
     ap = build_absorbing_path(
-        H, bits(rmask), params, seed=int(rng.integers(2**31)), trace=ap_trace
+        H, bits(rmask), params, seed=int(rng.integers(2**31)), trace=at
     )
-    at["absorbing"] = ap_trace
     if ap is None:
-        at["fail_stage"] = ap_trace.get("fail_stage", "absorbing")
         return None
 
     cover_allowed = H.vertex_mask() & ~rmask & ~ap.vertex_mask()
@@ -799,7 +819,8 @@ def _attempt(H, params, attempt, at) -> Optional[TightPath]:
 
     # stage 5's parity fix: first rely on the closing connection's free
     # length; when that cannot work, trim 1-2 vertices off a long covered
-    # path end (new end pair must stay connectable) and retry.
+    # path end (new end pair must stay connectable) and retry.  Each try
+    # records into a fresh dict, and the attempt keeps the last try's.
     for trim in (0, 1, 2):
         paths = list(base_paths)
         uncovered = set(base_uncovered)
@@ -810,11 +831,12 @@ def _attempt(H, params, attempt, at) -> Optional[TightPath]:
             kept = paths[j].vertices[:-trim]
             uncovered.update(paths[j].vertices[-trim:])
             paths[j] = TightPath(kept)
-        cycle = _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, at)
+        tried = {"trim": trim}
+        cycle = _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, tried)
         if cycle is not None:
-            at["trim"] = trim
-            return cycle
-    return None
+            break
+    at.update(tried)
+    return cycle
 
 
 def _trimmable(H, paths, trim, beta) -> Optional[int]:
@@ -828,12 +850,12 @@ def _trimmable(H, paths, trim, beta) -> Optional[int]:
     return None
 
 
-def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, at):
+def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, tried):
     pieces: list[TightPath] = [ap.path] + paths
     k = len(pieces)
     avail = rmask
     conns: list[Optional[tuple]] = [None] * k
-    spare = ap.spare_capacity
+    spare = len(ap.absorbers)
     has_gadget = ap.gadget_classes is not None
     lengths_used = []
     for i in range(k):
@@ -848,7 +870,7 @@ def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, at):
                 params.mode, avail_count, len(uncovered), spare, has_gadget
             )
             if lengths is None:
-                at["fail_stage"] = "parity_planning"
+                tried["fail_stage"] = "parity_planning"
                 return None
         conn = connect(
             H,
@@ -859,25 +881,19 @@ def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, at):
             lengths=lengths,
         )
         if conn is None:
-            at["fail_stage"] = f"connect_{i}"
+            tried["fail_stage"] = f"connect_{i}"
             return None
         inner = conn.vertices[2:-2]
         lengths_used.append(len(inner))
         conns[i] = inner
         avail &= ~mask_of(inner)
-    at["connections"] = lengths_used
+    tried["connections"] = lengths_used
 
     leftover = sorted(set(uncovered) | set(bits(avail)))
-    at["leftover"] = len(leftover)
-    if not _absorbable(len(leftover), spare, has_gadget):
-        at["fail_stage"] = "parity" if len(leftover) % 3 else "capacity"
-        return None
-
-    absorb_trace: dict = {}
-    new_ap_path = absorb(H, ap, leftover, trace=absorb_trace)
-    at["absorb"] = absorb_trace
+    tried["leftover"] = len(leftover)
+    # the closing lengths leave a leftover that fits the absorbers
+    new_ap_path = absorb(H, ap, leftover, trace=tried)
     if new_ap_path is None:
-        at["fail_stage"] = absorb_trace.get("fail_stage", "absorb")
         return None
 
     seq: list[int] = list(new_ap_path.vertices)

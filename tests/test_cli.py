@@ -210,6 +210,36 @@ def test_hamilton_cover_cli(tmp_path, capsys):
     assert res["paths"] and not res["shortfall"]
 
 
+@pytest.mark.parametrize("target,shortfall", [(-1.0, True), (15.0, False)])
+def test_hamilton_cover_shortfall_follows_the_library_target(
+    tmp_path, capsys, monkeypatch, target, shortfall
+):
+    # k14 is covered with nothing left; a target of 15 > n leaves every
+    # vertex uncovered, and neither is short of it
+    out = tmp_path / "k14.h3"
+    run(capsys, "gen", "--family", "complete", "--n", "14", "-o", str(out))
+    monkeypatch.setattr(cli.hamilton, "cover_target", lambda gamma, n: target)
+    code, stdout, _ = run(capsys, "hamilton", "cover", "--seed", "0", str(out))
+    assert code == 0
+    res = json.loads(stdout)["result"]
+    assert res["shortfall"] is shortfall
+    assert bool(res["paths"]) is shortfall
+
+
+def test_hamilton_find_json_is_schema_2_with_flat_attempts(tmp_path, capsys):
+    out = tmp_path / "r30.h3"
+    run(capsys, "gen", "--family", "random", "--n", "30", "--p", "0.9", "--seed", "0",
+        "-o", str(out))
+    code, stdout, _ = run(capsys, "hamilton", "find", "--seed", "3", str(out))
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["schema_version"] == 2 and "backend" not in payload
+    (at,) = payload["result"]["trace"]["attempts"]
+    assert {"absorbers", "gadget", "trim", "leftover", "absorbed"} <= set(at)
+    assert not {"absorbing", "absorb", "fail_stage"} & set(at)
+    assert not any(isinstance(value, dict) for key, value in at.items() if key != "cover")
+
+
 @pytest.mark.parametrize(
     "command", [("hamilton", "cover"), ("hamilton", "find")], ids=["cover", "find"]
 )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -273,7 +275,7 @@ def test_absorb_identity_and_triples():
     outside = [
         v for v in range(60) if not (ap.vertex_mask() >> v) & 1 and v not in (0, 1)
     ]
-    U = outside[: 3 * ap.spare_capacity]
+    U = outside[: 3 * len(ap.absorbers)]
     out = ham.absorb(H, ap, U)
     assert out is not None
     assert verify_tight_path(H, out.vertices)
@@ -329,7 +331,7 @@ def test_pipeline_gadget_end_to_end():
     )
     assert cyc is not None and verify_tight_cycle(H, cyc.vertices)
     assert len(cyc) == 120
-    assert trace["attempts"][-1]["absorbing"]["gadget"]
+    assert trace["attempts"][-1]["gadget"]
 
 
 def test_pipeline_parity_gadget_shed():
@@ -338,7 +340,7 @@ def test_pipeline_parity_gadget_shed():
     H = cons.random(120, 0.92, 902)
     cyc, trace = ham.find_tight_hamilton(H, ham.PipelineParams(seed=1, use_gadget=True))
     assert trace["success_attempt"] == 0
-    assert trace["attempts"][0]["absorb"]["gadget_removed"] == 8
+    assert trace["attempts"][0]["gadget_removed"] == 8
     assert sorted(cyc.vertices) == list(range(120))
     assert verify_tight_cycle(H, cyc.vertices)
 
@@ -353,7 +355,7 @@ def test_default_pipeline_makes_no_gadget_search(seed, monkeypatch):
     cyc, trace = ham.find_tight_hamilton(H, ham.PipelineParams(seed=seed))
     assert cyc is not None and verify_tight_cycle(H, cyc.vertices)
     assert len(cyc) == 120
-    assert not any(at.get("absorbing", {}).get("gadget") for at in trace["attempts"])
+    assert not any(at.get("gadget") for at in trace["attempts"])
 
 
 def test_absorb_rejects_overlapping_u():
@@ -454,6 +456,63 @@ def test_pipeline_parity_trim(seed, trim):
     assert trace["attempts"][0]["trim"] == trim
     assert sorted(cyc.vertices) == list(range(36))
     assert verify_tight_cycle(H, cyc.vertices)
+
+
+@pytest.mark.parametrize("seed,trim", [(3, 1), (2, 2)])
+def test_successful_attempt_carries_no_failure(seed, trim):
+    """Attempt 0 succeeds on a trimmed try after its trim-0 try failed (at
+    connect_1 for seed 3, at parity_planning for seed 2); the record holds
+    only the successful try."""
+    cyc, trace = ham.find_tight_hamilton(
+        cons.random(30, 0.9, 0), ham.PipelineParams(seed=seed)
+    )
+    at = trace["attempts"][0]
+    assert cyc is not None and trace["success_attempt"] == 0
+    assert at["trim"] == trim and "fail_stage" not in at
+
+
+PIPELINE_STAGES = (
+    "absorber_shortage", "absorbing_connect", "ends_not_connectable",
+    "parity_planning", "matching",
+)
+
+
+def test_failed_attempts_hold_one_documented_stage_and_their_last_try(monkeypatch):
+    tries = []  # per attempt, the record of each parity try
+    real_attempt, real_try = ham._attempt, ham._connect_and_absorb
+
+    def attempt(*args):
+        tries.append([])
+        return real_attempt(*args)
+
+    def one_try(*args):
+        tries[-1].append(args[-1])
+        return real_try(*args)
+
+    monkeypatch.setattr(ham, "_attempt", attempt)
+    monkeypatch.setattr(ham, "_connect_and_absorb", one_try)
+    runs = [(cons.random(30, 0.9, 0), seed, 5) for seed in range(6)]
+    for seed in range(12):
+        for H in (cons.random(14, 0.5, seed), cons.random(18, 0.7, seed),
+                  cons.random(24, 0.8, seed), cons.random(36, 0.9, seed),
+                  cons.example1(14, seed)):
+            runs.append((H, seed, 2))
+    stages = set()
+    for H, seed, retries in runs:
+        tries.clear()
+        _, trace = ham.find_tight_hamilton(H, ham.PipelineParams(seed=seed, retries=retries))
+        assert len(tries) == len(trace["attempts"])
+        for i, (at, its) in enumerate(zip(trace["attempts"], tries)):
+            assert ("fail_stage" in at) == (trace["success_attempt"] != i)
+            if "fail_stage" in at:
+                stage = at["fail_stage"]
+                assert stage in PIPELINE_STAGES or re.fullmatch(r"connect_\d+", stage)
+                stages.add(stage)
+            if its:
+                assert its[-1].items() <= at.items()
+                for key in ("trim", "connections", "leftover", "fail_stage"):
+                    assert (key in at) == (key in its[-1])
+    assert {"absorber_shortage", "absorbing_connect", "parity_planning"} <= stages
 
 
 def test_pipeline_refuses_a_cycle_that_misses_vertices(monkeypatch):
