@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("hamilton", help="absorption pipeline operations")
     hsub = h.add_subparsers(dest="action", required=True)
     hf = hsub.add_parser("find", help="search for a tight Hamilton cycle")
-    hf.add_argument("--mode", choices=("ev", "ee"), default=pipeline.mode)
     hf.add_argument("--beta", type=float, default=pipeline.beta)
     hf.add_argument("--gamma", type=float, default=pipeline.gamma)
     hf.add_argument("--retries", type=int, default=pipeline.retries)
@@ -259,7 +258,7 @@ def _dispatch_hamilton(args) -> tuple[int, dict]:
     if args.action == "find":
         params = hamilton.PipelineParams(
             beta=args.beta, gamma=args.gamma, retries=args.retries,
-            seed=args.seed, mode=args.mode, use_gadget=args.gadget,
+            seed=args.seed, use_gadget=args.gadget,
         )
         cycle, trace = hamilton.find_tight_hamilton(H, params)
         if cycle is not None:

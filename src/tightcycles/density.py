@@ -39,7 +39,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import kernels
+from . import _pykernels
 from ._pykernels import _wide
 from .errors import BudgetError, check_budget
 from .hypercore import Hypergraph3, mask_bools, mask_of, pair_counts
@@ -275,7 +275,7 @@ def ev_deviation(
     T, p, q, budget = _prepare("ev", EV_EXACT_MAX_N, H, d, mode, samples, restarts)
     used = None
     if mode == "exact":
-        xmask = int(kernels.backend().ev_exact(T, p, q)[1])
+        xmask = int(_pykernels.ev_exact(T, p, q)[1])
     else:
         xmask, used = _ev_search(T, p, q, seed, restarts=restarts, budget=budget)
     xs, P = _ev_witness(T, p, q, xmask)
@@ -428,7 +428,7 @@ def vvv_deviation(
     T, p, q, budget = _prepare("vvv", VVV_EXACT_MAX_N, H, d, mode, samples, restarts)
     n, used = H.n, None
     if mode == "exact":
-        _, xm, ym = kernels.backend().vvv_exact(T, p, q)
+        _, xm, ym = _pykernels.vvv_exact(T, p, q)
         xb, yb = mask_bools(int(xm), n), mask_bools(int(ym), n)
     else:
         (xb, yb), used = _restarts(
@@ -499,7 +499,7 @@ def ee_deviation(
     T, p, q, budget = _prepare("ee", EE_EXACT_MAX_N, H, d, mode, samples, restarts)
     used = None
     if mode == "exact":
-        _, pmask = kernels.backend().ee_exact(T, p, q)
+        _, pmask = _pykernels.ee_exact(T, p, q)
         Pm = _offdiag(H.n, mask_bools(int(pmask), H.n * (H.n - 1)))
         P, Q = _pairs(Pm), _pairs(_ee_best(T, p, q, Pm.T))
     else:

@@ -77,7 +77,11 @@ def cover_target(gamma: float, n: int) -> float:
 
 @dataclass
 class PipelineParams:
-    """What a caller sets for the assembly pipeline.
+    """What a caller sets for the assembly pipeline: the connectability
+    fraction ``beta``, the reservoir fraction ``gamma``, the number of
+    ``retries`` (attempt i draws from the seed pair (``seed``, i)), and
+    ``use_gadget``.  The inner lengths each connection tries, and their
+    order, follow from the stage it serves, not from a parameter.
 
     The search budgets are the module constants above and the stage
     functions' defaults, engineering choices for dense instances at desk
@@ -94,13 +98,10 @@ class PipelineParams:
     gamma: float = 0.15
     retries: int = 5
     seed: int = 0
-    mode: str = "ev"
     use_gadget: bool = False
 
     def __post_init__(self):
         _check_fractions(self.beta, self.gamma)
-        if self.mode not in ("ev", "ee"):
-            raise ValueError("mode must be 'ev' or 'ee'")
         check_budget("retries", self.retries)
 
     def resolved_reservoir(self, n: int) -> float:
@@ -282,31 +283,34 @@ def _grow_path(H, masks, min_len, rng, attempts):
         wpick = wopts[int(rng.integers(len(wopts)))]
         seq = [u, v, wpick]
         used = mask_of(seq)
-        # extend right, then left, greedily by one-step lookahead
+        # extend right, then left, until neither end grows
         grew = True
         while grew:
             grew = False
-            cand = masks.get(pair_key(seq[-2], seq[-1], n), 0) & ~used
-            if cand:
-                t = max(
-                    bits(cand),
-                    key=lambda c: (masks.get(pair_key(seq[-1], c, n), 0) & ~used).bit_count(),
-                )
+            t = _step(masks, seq[-2], seq[-1], used, n)
+            if t is not None:
                 seq.append(t)
                 used |= 1 << t
                 grew = True
-            cand = masks.get(pair_key(seq[1], seq[0], n), 0) & ~used
-            if cand:
-                t = max(
-                    bits(cand),
-                    key=lambda c: (masks.get(pair_key(c, seq[0], n), 0) & ~used).bit_count(),
-                )
+            t = _step(masks, seq[1], seq[0], used, n)
+            if t is not None:
                 seq.insert(0, t)
                 used |= 1 << t
                 grew = True
         if len(seq) >= min_len:
             return seq
     return None
+
+
+def _step(masks, u, v, used, n) -> Optional[int]:
+    """The first unused w in N(u, v) whose pair (v, w) has the most unused
+    neighbours, or None when N(u, v) has no unused vertex."""
+    cand = masks.get(pair_key(u, v, n), 0) & ~used
+    if not cand:
+        return None
+    return max(
+        bits(cand), key=lambda w: (masks.get(pair_key(v, w, n), 0) & ~used).bit_count()
+    )
 
 
 # -- absorbers -----------------------------------------------------------------------
@@ -575,7 +579,6 @@ def build_absorbing_path(
 
     segments: list[tuple] = [pieces[0]]
     used_conn = 0
-    lengths = _ee_first(range(MAX_INNER + 1), params.mode)
     for nxt in pieces[1:]:
         prev_end = segments[-1][2][-2:]
         attempt_orders = [nxt, (nxt[0], nxt[1], tuple(reversed(nxt[2])))]
@@ -588,7 +591,7 @@ def build_absorbing_path(
                 cand[2][:2],
                 bits(allowed_base & ~used_conn),
                 seed=int(rng.integers(2**31)),
-                lengths=lengths,
+                lengths=range(MAX_INNER + 1),
             )
             if conn is not None:
                 chosen = cand
@@ -626,16 +629,6 @@ def build_absorbing_path(
     return ap
 
 
-def _ee_first(order: Iterable[int], mode: str) -> list[int]:
-    """Inner-length preference: in ee mode, the lengths 5, 6 and 7 that
-    ``order`` holds come first; the rest keep their order."""
-    order = list(order)
-    if mode != "ee":
-        return order
-    ee = [l for l in (5, 6, 7) if l in order]
-    return ee + [l for l in order if l not in ee]
-
-
 # -- absorption --------------------------------------------------------------------
 
 
@@ -659,19 +652,12 @@ def absorb(
         raise ValueError("U must be disjoint from the absorbing path")
     if not u:
         return A.path
-    drop_layers: tuple[int, ...] = ()
-    if len(u) % 3 != 0:
-        if A.gadget_classes is None:
-            trace["fail_stage"] = "divisibility"
-            return None
-        drop_layers = (1,) if (len(u) + 8) % 3 == 0 else (1, 2)
-
-    freed: list[int] = []
-    if drop_layers:
-        keep = blowup_path_ordering(A.gadget_classes, drop_layers)
-        full = blowup_path_ordering(A.gadget_classes)
-        freed = [v for v in full if v not in set(keep)]
-        u = sorted(u + freed)
+    drop = _shed(len(u))
+    if drop and A.gadget_classes is None:
+        trace["fail_stage"] = "divisibility"
+        return None
+    freed = [c[layer] for layer in drop for c in A.gadget_classes]
+    u = sorted(u + freed)
     triples = [tuple(u[i : i + 3]) for i in range(0, len(u), 3)]
     if len(triples) > len(A.absorbers):
         trace.update({"fail_stage": "capacity", "matched": 0})
@@ -683,9 +669,9 @@ def absorb(
                 return perm
         return None
 
-    # maximum bipartite matching triple -> absorber (augmenting paths)
-    match_of_abs: dict[int, int] = {}
-    assign: dict[int, tuple] = {}
+    # maximum bipartite matching absorber -> (triple, slot order), grown by
+    # augmenting paths
+    match: dict[int, tuple] = {}
 
     def try_assign(ti: int, visited: set) -> bool:
         for j, ab in enumerate(A.absorbers):
@@ -695,9 +681,8 @@ def absorb(
             if perm is None:
                 continue
             visited.add(j)
-            if j not in match_of_abs or try_assign(match_of_abs[j], visited):
-                match_of_abs[j] = ti
-                assign[ti] = (j, perm)
+            if j not in match or try_assign(match[j][0], visited):
+                match[j] = (ti, perm)
                 return True
         return False
 
@@ -709,20 +694,18 @@ def absorb(
         trace.update({"fail_stage": "matching", "matched": matched})
         return None
 
-    rewrites_k = {assign[ti][0] for ti in assign}
     new_segments = []
     for kind, tag, verts in A.segments:
-        if kind == "kshort" and tag in rewrites_k:
+        if kind == "kshort" and tag in match:
             new_segments.append((kind, tag, tuple(A.absorbers[tag].k_path_full())))
-        elif kind == "link" and tag[0] in rewrites_k:
+        elif kind == "link" and tag[0] in match:
             j, i = tag
-            ti = match_of_abs[j]
-            perm = assign[ti][1]
+            ti, perm = match[j]
             middle = triples[ti][perm[i]]
             new_segments.append((kind, tag, tuple(A.absorbers[j].link_path(i, middle))))
-        elif kind == "gadget" and drop_layers:
+        elif kind == "gadget" and drop:
             new_segments.append(
-                (kind, tag, tuple(blowup_path_ordering(A.gadget_classes, drop_layers)))
+                (kind, tag, tuple(blowup_path_ordering(A.gadget_classes, drop)))
             )
         else:
             new_segments.append((kind, tag, verts))
@@ -794,11 +777,7 @@ def _attempt(H, params, attempt, at) -> Optional[TightPath]:
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((params.seed, attempt)))
     )
-    frac = params.resolved_reservoir(n)
-    rmask = 0
-    for v in range(n):
-        if rng.random() < frac:
-            rmask |= 1 << v
+    rmask = mask_of(np.flatnonzero(rng.random(n) < params.resolved_reservoir(n)).tolist())
     at["reservoir"] = rmask.bit_count()
 
     ap = build_absorbing_path(
@@ -854,21 +833,18 @@ def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, tried):
     pieces: list[TightPath] = [ap.path] + paths
     k = len(pieces)
     avail = rmask
-    conns: list[Optional[tuple]] = [None] * k
+    conns: list[tuple] = []
     spare = len(ap.absorbers)
     has_gadget = ap.gadget_classes is not None
-    lengths_used = []
     for i in range(k):
         frm = pieces[i].end_pair
         to = pieces[(i + 1) % k].start_pair
         avail_count = avail.bit_count()
         remaining = k - i
         if i < k - 1:
-            lengths = _spread_lengths(params.mode, avail_count, remaining)
+            lengths = _spread_lengths(avail_count, remaining)
         else:
-            lengths = _closing_lengths(
-                params.mode, avail_count, len(uncovered), spare, has_gadget
-            )
+            lengths = _closing_lengths(avail_count, len(uncovered), spare, has_gadget)
             if lengths is None:
                 tried["fail_stage"] = "parity_planning"
                 return None
@@ -884,10 +860,9 @@ def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, tried):
             tried["fail_stage"] = f"connect_{i}"
             return None
         inner = conn.vertices[2:-2]
-        lengths_used.append(len(inner))
-        conns[i] = inner
+        conns.append(inner)
         avail &= ~mask_of(inner)
-    tried["connections"] = lengths_used
+    tried["connections"] = [len(inner) for inner in conns]
 
     leftover = sorted(set(uncovered) | set(bits(avail)))
     tried["leftover"] = len(leftover)
@@ -906,36 +881,37 @@ def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, tried):
     return TightPath(tuple(seq), is_cycle=True)
 
 
-def _spread_lengths(mode, avail, remaining) -> list[int]:
+def _spread_lengths(avail, remaining) -> list[int]:
     """Inner-length preference for non-closing connections: spend the
     reservoir evenly, keeping at least one vertex per remaining connection."""
     cap = min(MAX_INNER, max(avail - (remaining - 1), 0))
     target = min(cap, max(1, avail // max(remaining, 1)))
-    order = sorted(range(0, cap + 1), key=lambda l: (abs(l - target), l))
-    return _ee_first(order, mode)
+    return sorted(range(0, cap + 1), key=lambda l: (abs(l - target), l))
+
+
+def _shed(k: int) -> tuple[int, ...]:
+    """The gadget layers a leftover of k vertices sheds into itself: none, or
+    one or two layers of 8 vertices, whichever makes the total divisible by
+    three."""
+    return ((), (1,), (1, 2))[k % 3]
 
 
 def _absorbable(leftover: int, spare: int, has_gadget: bool) -> bool:
-    """Whether a leftover of this size fits the absorbers, counting the 8 or
-    16 gadget vertices a parity fix would shed into it."""
-    if leftover % 3 == 0:
-        removal = 0
-    elif not has_gadget:
+    """Whether a leftover of this size fits the absorbers, counting the
+    gadget vertices a parity fix would shed into it."""
+    drop = _shed(leftover)
+    if drop and not has_gadget:
         return False
-    else:
-        removal = 8 if (leftover + 8) % 3 == 0 else 16
-    return (leftover + removal) // 3 <= spare
+    return (leftover + 8 * len(drop)) // 3 <= spare
 
 
-def _closing_lengths(mode, avail, uncovered, spare, has_gadget) -> Optional[list[int]]:
-    """Feasible inner lengths for the closing connection: the leftover
-    (uncovered plus unused reservoir) must be absorbable."""
+def _closing_lengths(avail, uncovered, spare, has_gadget) -> Optional[list[int]]:
+    """Feasible inner lengths for the closing connection, longest first so
+    that it consumes as much reservoir as possible: the leftover (uncovered
+    plus unused reservoir) must be absorbable."""
     out = [
         l
-        for l in range(0, min(MAX_INNER, avail) + 1)
+        for l in range(min(MAX_INNER, avail), -1, -1)
         if _absorbable(uncovered + avail - l, spare, has_gadget)
     ]
-    if not out:
-        return None
-    out.sort(reverse=True)  # consume as much reservoir as possible
-    return _ee_first(out, mode)
+    return out or None

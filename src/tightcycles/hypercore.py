@@ -242,8 +242,11 @@ def _dedupe(n: int, arr: np.ndarray) -> np.ndarray:
 def from_edges(n: int, triples: Iterable[Sequence[int]]) -> Hypergraph3:
     """Build a hypergraph from 3-element edges, deduplicating.
 
-    Raises ValueError for out-of-range or repeated vertices in a triple.
+    Raises ValueError for a negative vertex count, and for out-of-range or
+    repeated vertices in a triple.
     """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     rows = []
     for t in triples:
         a, b, c = t

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
+from . import _pykernels
 from .density import as_density_fraction
 from .errors import BudgetError, UncertifiedResult
 from .hypercore import Hypergraph3, TightPath, bits, min_degree, verify_tight_cycle
@@ -44,7 +44,7 @@ def _dp_cycle(H: Hypergraph3) -> Optional[list[int]]:
     # a tight cycle puts every vertex into three edges
     if min_degree(H) < 3:
         return None
-    seq = kernels.backend().tight_hamilton_cycle(H.n, H.nbr_flat())
+    seq = _pykernels.tight_hamilton_cycle(H.n, H.nbr_flat())
     # a Hamilton cycle visits every vertex once, which verify_tight_cycle
     # alone does not check
     if seq is not None and not (

@@ -5,8 +5,9 @@ modes rely on: inner minimisations materialise every subset sum by iterative
 doubling, so each oracle genuinely enumerates the full search space.  The ev
 and cherry oracles live in :mod:`tightcycles.oracle`, which the acceptance
 suite shares, and are re-exported here.  The loops the library has replaced
-by faster ones are kept here as references, among them the Hamilton kernel
-that runs one full DP per root (:func:`tight_hamilton_cycle_reference`).
+by faster or shorter ones are kept here as references, among them the
+Hamilton kernel that runs one full DP per root
+(:func:`tight_hamilton_cycle_reference`).
 """
 
 from fractions import Fraction
@@ -24,6 +25,7 @@ from tightcycles.hypercore import (
     from_edges,
     from_triple_array,
     mask_of,
+    pair_key,
     pair_of,
     verify_tight_path,
 )
@@ -659,6 +661,49 @@ def find_absorber_reference(
             H, A.k_path_short()
         ):
             return A
+    return None
+
+
+# -- the former path growth ------------------------------------------------------
+
+
+def grow_path_reference(H, masks, min_len, rng, attempts):
+    """The former almost-cover path growth, verbatim: the right and the left
+    end each grow by their own copy of the one-step lookahead.  The library
+    version must return the same path and leave ``rng`` in the same state."""
+    n = H.n
+    keys = sorted(masks)
+    for _ in range(attempts):
+        key = keys[int(rng.integers(len(keys)))]
+        u, v = pair_of(key, n)
+        wopts = list(bits(masks[key]))
+        wpick = wopts[int(rng.integers(len(wopts)))]
+        seq = [u, v, wpick]
+        used = mask_of(seq)
+        # extend right, then left, greedily by one-step lookahead
+        grew = True
+        while grew:
+            grew = False
+            cand = masks.get(pair_key(seq[-2], seq[-1], n), 0) & ~used
+            if cand:
+                t = max(
+                    bits(cand),
+                    key=lambda c: (masks.get(pair_key(seq[-1], c, n), 0) & ~used).bit_count(),
+                )
+                seq.append(t)
+                used |= 1 << t
+                grew = True
+            cand = masks.get(pair_key(seq[1], seq[0], n), 0) & ~used
+            if cand:
+                t = max(
+                    bits(cand),
+                    key=lambda c: (masks.get(pair_key(c, seq[0], n), 0) & ~used).bit_count(),
+                )
+                seq.insert(0, t)
+                used |= 1 << t
+                grew = True
+        if len(seq) >= min_len:
+            return seq
     return None
 
 

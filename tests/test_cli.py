@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import json
@@ -271,11 +272,19 @@ def test_gen_negative_vertex_count_is_exit_3(tmp_path, capsys, family):
 def test_hamilton_parser_defaults_are_the_library_defaults():
     parser = cli.build_parser()
     pipeline = cli.hamilton.PipelineParams()
-    find = parser.parse_args(["hamilton", "find", "f.h3"])
-    assert (find.beta, find.gamma, find.retries, find.mode, find.gadget) == (
-        pipeline.beta, pipeline.gamma, pipeline.retries, pipeline.mode,
-        pipeline.use_gadget,
-    )
+    find = vars(parser.parse_args(["hamilton", "find", "f.h3"]))
+    # the find flags are the pipeline's fields, each with the library's
+    # default, so a field added or removed on one side only fails here; the
+    # parser's seed default None means seed 0
+    flag = {"use_gadget": "gadget"}
+    parsed = {"seed": lambda v: 0 if v is None else v}
+    fields = dataclasses.fields(cli.hamilton.PipelineParams)
+    assert set(find) - {"format", "strict", "command", "action", "file"} == {
+        flag.get(f.name, f.name) for f in fields
+    }
+    for field in fields:
+        value = parsed.get(field.name, lambda v: v)(find[flag.get(field.name, field.name)])
+        assert value == getattr(pipeline, field.name), field.name
     # the pipeline hands almost_cover its own beta and gamma
     cover = parser.parse_args(["hamilton", "cover", "f.h3"])
     assert (cover.beta, cover.gamma) == (pipeline.beta, pipeline.gamma)

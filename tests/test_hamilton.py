@@ -1,14 +1,15 @@
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from oracles import find_absorber_reference
+from oracles import find_absorber_reference, grow_path_reference
 from tightcycles import constructions as cons
 from tightcycles import hamilton as ham
 from tightcycles import oracle as orc
 from tightcycles.errors import UncertifiedResult
-from tightcycles.hypercore import verify_tight_cycle, verify_tight_path
+from tightcycles.hypercore import from_edges, verify_tight_cycle, verify_tight_path
 
 # -- connect -----------------------------------------------------------------
 
@@ -142,6 +143,51 @@ def test_cover_disjoint_union_invariant(seed):
         c, d = p.end_pair
         assert is_connectable(H, b, a, ends_beta)
         assert is_connectable(H, c, d, ends_beta)
+
+
+def _two_cliques():
+    return from_edges(21, [t for part in (range(10), range(10, 21)) for t in combinations(part, 3)])
+
+
+# (host, beta, gamma, allowed): two cliques grow one path each; a tight cycle
+# at beta = 0.05 grows short paths until a growth fails, and at beta = 0.25
+# its cleaning deletes every pair; example1 and the sparse random host lose
+# some pairs to cleaning; the last host covers a restricted allowed set
+GROWTH_HOSTS = [
+    (_two_cliques, 0.05, 0.1, None),
+    (lambda: cons.tight_cycle(12), 0.05, 0.1, None),
+    (lambda: cons.tight_cycle(12), 0.25, 0.3, None),
+    (lambda: cons.example1(24, 1), 0.05, 0.15, None),
+    (lambda: cons.random(30, 0.35, 2), 0.15, 0.2, None),
+    (lambda: cons.random(60, 0.8, 3), 0.05, 0.15, None),
+    (lambda: cons.random(40, 0.85, 1), 0.05, 0.15, range(5, 35)),
+]
+
+
+@pytest.mark.parametrize("host", range(len(GROWTH_HOSTS)))
+def test_cover_growth_matches_reference(host, monkeypatch):
+    # the merged growth step grows each path as the former two-block loop
+    # did, and leaves the cover's generator in the same state after each one
+    build, beta, gamma, allowed = GROWTH_HOSTS[host]
+    H = build()
+
+    def cover(grow, seed):
+        seen = []
+
+        def record(H_, masks, min_len, rng, attempts):
+            seq = grow(H_, masks, min_len, rng, attempts)
+            seen.append((seq, rng.bit_generator.state))
+            return seq
+
+        monkeypatch.setattr(ham, "_grow_path", record)
+        return ham.almost_cover(H, beta, gamma, seed=seed, allowed=allowed), seen
+
+    library = ham._grow_path
+    for seed in range(3):
+        got, got_seen = cover(library, seed)
+        want, want_seen = cover(grow_path_reference, seed)
+        assert got == want
+        assert got_seen == want_seen
 
 
 # -- absorbers ---------------------------------------------------------------------
@@ -334,6 +380,23 @@ def test_pipeline_gadget_end_to_end():
     assert trace["attempts"][-1]["gadget"]
 
 
+def test_absorb_sheds_two_gadget_layers():
+    # a leftover of 2 vertices sheds layers 1 and 2 of the gadget, 16
+    # vertices, and the 18 left fill all six absorbers
+    H = cons.complete(170)
+    ap = ham.build_absorbing_path(H, [0, 1, 2], ham.PipelineParams(seed=0, use_gadget=True))
+    assert ap is not None and ap.gadget_classes is not None
+    assert len(ap.absorbers) == 6
+    before = ap.vertex_sequence()
+    U = [v for v in range(170) if not (ap.vertex_mask() >> v) & 1 and v not in (0, 1, 2)][:2]
+    tr = {}
+    out = ham.absorb(H, ap, U, trace=tr)
+    assert out is not None and verify_tight_path(H, out.vertices)
+    assert (tr["gadget_removed"], tr["absorbed"]) == (16, 2)
+    assert set(out.vertices) == set(before) | set(U)
+    assert out.vertices[:2] == before[:2] and out.vertices[-2:] == before[-2:]
+
+
 def test_pipeline_parity_gadget_shed():
     """Parity repair through the opted-in gadget on a full pipeline run: the
     absorption sheds the C8 blow-up's 8 vertices on the first attempt."""
@@ -369,62 +432,66 @@ def test_absorb_rejects_overlapping_u():
 # -- inner-length preferences ---------------------------------------------------------
 
 
-def _old_internal(mode, mi):
-    if mode == "ee":
-        base = [5, 6, 7]
-        return base + [l for l in range(0, mi + 1) if l not in base]
-    return list(range(0, mi + 1))
-
-
-def _old_spread(mode, mi, avail, remaining):
+def _old_spread(mi, avail, remaining):
     cap = min(mi, max(avail - (remaining - 1), 0))
     target = min(cap, max(1, avail // max(remaining, 1)))
     order = sorted(range(0, cap + 1), key=lambda l: (abs(l - target), l))
-    if mode == "ee":
-        ee = [l for l in (5, 6, 7) if l <= cap]
-        order = ee + [l for l in order if l not in ee]
     return order
 
 
-def _old_closing(mode, mi, avail, uncovered, spare, has_gadget):
+def _old_absorbable(leftover, spare, has_gadget):
+    if leftover % 3 == 0:
+        removal = 0
+    elif not has_gadget:
+        return False
+    else:
+        removal = 8 if (leftover + 8) % 3 == 0 else 16
+    return (leftover + removal) // 3 <= spare
+
+
+def _old_closing(mi, avail, uncovered, spare, has_gadget):
     out = [
         l
         for l in range(0, min(mi, avail) + 1)
-        if ham._absorbable(uncovered + avail - l, spare, has_gadget)
+        if _old_absorbable(uncovered + avail - l, spare, has_gadget)
     ]
     if not out:
         return None
     out.sort(reverse=True)
-    if mode == "ee":
-        ee = [l for l in (5, 6, 7) if l in out]
-        out = ee + [l for l in out if l not in ee]
     return out
 
 
-@pytest.mark.parametrize("mode", ["ev", "ee"])
-def test_ee_length_preference_keeps_connect_orders(mode, monkeypatch):
-    # the shared ee preference gives each stage the order of its reference
-    # copy above, as connect sees it: filtered to 0..max_inner, in order
+def test_length_orders_keep_connect_orders(monkeypatch):
+    # each stage's inner-length order is its reference copy's above, as
+    # connect sees it: filtered to 0..max_inner, in order
     def seen(order, mi):
         return None if order is None else [l for l in order if 0 <= l <= mi]
 
     for mi in range(3, 16):
         monkeypatch.setattr(ham, "MAX_INNER", mi)
-        assert seen(ham._ee_first(range(mi + 1), mode), mi) == seen(
-            _old_internal(mode, mi), mi
-        )
         for avail in range(26):
             for remaining in range(1, 5):
-                assert seen(ham._spread_lengths(mode, avail, remaining), mi) == seen(
-                    _old_spread(mode, mi, avail, remaining), mi
+                assert seen(ham._spread_lengths(avail, remaining), mi) == seen(
+                    _old_spread(mi, avail, remaining), mi
                 )
             for uncovered in range(6):
                 for spare in range(5):
                     for gadget in (False, True):
                         args = (avail, uncovered, spare, gadget)
-                        assert seen(ham._closing_lengths(mode, *args), mi) == seen(
-                            _old_closing(mode, mi, *args), mi
+                        assert seen(ham._closing_lengths(*args), mi) == seen(
+                            _old_closing(mi, *args), mi
                         )
+
+
+def test_shed_rule_matches_the_former_rule():
+    # the one shed rule sheds 8 * len(layers) vertices, which the absorber
+    # count check reads as the former "8 if (k + 8) % 3 == 0, else 16" did
+    for k in range(40):
+        drop = ham._shed(k)
+        assert (k + 8 * len(drop)) % 3 == 0
+        for spare in range(20):
+            for gadget in (False, True):
+                assert ham._absorbable(k, spare, gadget) == _old_absorbable(k, spare, gadget)
 
 
 # -- the full pipeline -----------------------------------------------------------------
@@ -547,17 +614,9 @@ def test_pipeline_requires_minimum_size():
         ham.find_tight_hamilton(cons.complete(10))
 
 
-def test_pipeline_ee_mode():
-    H = cons.random(40, 0.9, 21)
-    cyc, trace = ham.find_tight_hamilton(H, ham.PipelineParams(seed=3, mode="ee"))
-    assert cyc is not None and verify_tight_cycle(H, cyc.vertices)
-
-
 def test_pipeline_params_validate():
     with pytest.raises(ValueError):
         ham.PipelineParams(beta=0)
-    with pytest.raises(ValueError):
-        ham.PipelineParams(mode="vv")
     for retries in (0, -2):
         with pytest.raises(ValueError, match="retries"):
             ham.PipelineParams(retries=retries)

@@ -58,16 +58,26 @@ def test_from_edges_rejects_repeats_and_range():
     "build",
     [
         lambda: from_edges(-1, []),
+        lambda: from_edges(-2, [(0, 1, 2)]),
         lambda: from_triple_array(-5, np.zeros((0, 3), dtype=np.int64)),
         lambda: cons.empty(-5),
         lambda: cons.complete(-5),
         lambda: cons.random(-5, 0.5, 1),
     ],
-    ids=["from_edges", "from_triple_array", "empty", "complete", "random"],
+    ids=["from_edges", "from_edges_with_an_edge", "from_triple_array", "empty", "complete",
+         "random"],
 )
 def test_negative_vertex_count_is_refused(build):
     with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
         build()
+
+
+def test_h3_negative_vertex_count_is_refused(tmp_path):
+    # the count is checked before any edge is range-checked against it
+    p = tmp_path / "neg.h3"
+    p.write_text("-2 1\n0 1 2\n")
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        read_h3(str(p))
 
 
 def test_from_edges_dedupes():
