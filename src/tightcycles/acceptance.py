@@ -303,7 +303,7 @@ def _fixture_absorber():
     segments = [("kshort", 0, tuple(A.k_path_short()))]
     for i in range(3):
         segments.append(("link", (0, i), tuple(A.link_path(i))))
-    ap = hamilton.AbsorbingPath(segments=segments, absorbers=[A], gadget_classes=None)
+    ap = hamilton.AbsorbingPath(segments=segments, absorbers=[A])
     return H, A, ap, u
 
 

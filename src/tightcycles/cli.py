@@ -22,7 +22,7 @@ from . import constructions, density, hamilton, motifs, oracle
 from .errors import BudgetError, UncertifiedResult
 from .hypercore import Hypergraph3, read_h3, verify_tight_cycle, write_h3
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _digest(path: str) -> str:
@@ -111,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     hf.add_argument("--beta", type=float, default=pipeline.beta)
     hf.add_argument("--gamma", type=float, default=pipeline.gamma)
     hf.add_argument("--retries", type=int, default=pipeline.retries)
-    hf.add_argument("--gadget", action="store_true",
-                    help="opt in to the C8 blow-up parity gadget")
     hf.add_argument("--seed", type=int, default=None)
     hf.add_argument("file")
     hc_ = hsub.add_parser("connect", help="tight path between two ordered pairs")
@@ -257,8 +255,7 @@ def _dispatch_hamilton(args) -> tuple[int, dict]:
     H, meta = _instance(args.file)
     if args.action == "find":
         params = hamilton.PipelineParams(
-            beta=args.beta, gamma=args.gamma, retries=args.retries,
-            seed=args.seed, use_gadget=args.gadget,
+            beta=args.beta, gamma=args.gamma, retries=args.retries, seed=args.seed
         )
         cycle, trace = hamilton.find_tight_hamilton(H, params)
         if cycle is not None:

@@ -74,7 +74,7 @@ def generate(spec: GenSpec) -> Hypergraph3:
     if fam == "example1":
         return example1(spec.n, spec.seed, spec.include_xy_edges)
     if fam == "hp":
-        return hp_construction(spec.n, spec.p, spec.seed)
+        return hp_construction(spec.n, spec.p, spec.seed, spec.include_xy_edges)
     if fam == "k333":
         return k333()
     if fam == "c8":

@@ -30,12 +30,15 @@ from .hypercore import (
 )
 from .motifs import (
     _cleaned_masks,
-    blowup_path_ordering,
-    find_c8_blowup,
     find_k333,
     is_connectable,
     k333_path_orderings,
 )
+
+# the pipeline makes no gadget search; the benchmark tracer in
+# perfbench/tracing.py still replaces this name, as it still reads the
+# unused link-cache attribute that hypercore keeps for it
+from .motifs import find_c8_blowup  # noqa: F401
 
 __all__ = [
     "Absorber",
@@ -58,7 +61,6 @@ __all__ = [
 
 MAX_INNER = 15  # inner vertices a connection may use
 CONNECT_BUDGET = 30000  # expansions per connection; see connect
-GADGET_BUDGET = 60000  # nodes per blow-up seed; see find_c8_blowup
 K333_TRIES = 400  # core seeds per absorber attempt; see find_k333
 
 
@@ -67,6 +69,14 @@ def _check_fractions(beta: float, gamma: float) -> None:
     outside (0, 1) with ValueError."""
     if not 0 < beta < 1 or not 0 < gamma < 1:
         raise ValueError("beta and gamma must lie in (0, 1)")
+
+
+def _allowed_mask(H: Hypergraph3, allowed: Iterable[int]) -> int:
+    """The mask of ``allowed``; a vertex outside 0..n-1 raises ValueError."""
+    mask = mask_of(allowed)
+    if mask >> H.n:
+        raise ValueError(f"allowed vertices must lie in 0..{H.n - 1}")
+    return mask
 
 
 def cover_target(gamma: float, n: int) -> float:
@@ -79,8 +89,8 @@ def cover_target(gamma: float, n: int) -> float:
 class PipelineParams:
     """What a caller sets for the assembly pipeline: the connectability
     fraction ``beta``, the reservoir fraction ``gamma``, the number of
-    ``retries`` (attempt i draws from the seed pair (``seed``, i)), and
-    ``use_gadget``.  The inner lengths each connection tries, and their
+    ``retries`` and the ``seed`` (attempt i draws from the seed pair
+    (``seed``, i)).  The inner lengths each connection tries, and their
     order, follow from the stage it serves, not from a parameter.
 
     The search budgets are the module constants above and the stage
@@ -88,17 +98,15 @@ class PipelineParams:
     scale; the reservoir fraction is gamma^2 with a small-n floor so that
     connections are not starved on hosts with a few dozen vertices.
 
-    The flexible parity gadget (a blow-up of the tight 8-cycle, which lets
-    absorption fix a leftover whose size is not a multiple of three) is
-    opt-in: ``use_gadget=True``, or ``tightcycles hamilton find --gadget``.
-    Without it the closing connection's free length does the parity work.
+    The leftover that absorption takes must split into triples; the closing
+    connection's free length, and a trim of 1 or 2 vertices off a covered
+    path end, keep its size a multiple of three.
     """
 
     beta: float = 0.05
     gamma: float = 0.15
     retries: int = 5
     seed: int = 0
-    use_gadget: bool = False
 
     def __post_init__(self):
         _check_fractions(self.beta, self.gamma)
@@ -134,9 +142,9 @@ def connect(
     middle pair.  Sound (a result that fails re-verification raises
     ``UncertifiedResult``) but incomplete: None within budget does not
     certify absence.  ``lengths`` restricts the inner-vertex counts
-    tried (default 1..max_inner, ascending).  A budget below 1, or no inner
-    length in 0..max_inner left to try, raises ``ValueError``: that call
-    would search nothing.
+    tried (default 1..max_inner, ascending).  A budget below 1, no inner
+    length in 0..max_inner left to try, or an allowed vertex outside
+    0..n-1 raises ``ValueError``.
     """
     x, y = from_pair
     z, w = to_pair
@@ -145,7 +153,7 @@ def connect(
     if not all(0 <= v < H.n for v in (x, y, z, w)):
         raise ValueError(f"endpoint vertices must lie in 0..{H.n - 1}")
     endmask = mask_of((x, y, z, w))
-    allowed_mask = mask_of(allowed) & ~endmask & H.vertex_mask()
+    allowed_mask = _allowed_mask(H, allowed) & ~endmask
     if lengths is None:
         lengths = range(1, max_inner + 1)
     lengths = [l for l in lengths if 0 <= l <= max_inner]
@@ -248,15 +256,15 @@ def almost_cover(
 
     Paths are grown greedily inside the cleaned restriction to the still
     uncovered vertices; a returned uncovered set larger than gamma^2 * n is a
-    heuristic shortfall, not an error.  A beta or gamma outside (0, 1) raises
-    ValueError.
+    heuristic shortfall, not an error.  A beta or gamma outside (0, 1), or an
+    allowed vertex outside 0..n-1, raises ValueError.
     """
     _check_fractions(beta, gamma)
     n = H.n
     thr = beta * n
     min_len = max(4, ceil(thr))
     target = cover_target(gamma, n)
-    uncovered = H.vertex_mask() if allowed is None else mask_of(allowed)
+    uncovered = H.vertex_mask() if allowed is None else _allowed_mask(H, allowed)
     rng = np.random.Generator(np.random.PCG64(seed))
     paths: list[TightPath] = []
     while uncovered.bit_count() >= max(target, min_len):
@@ -495,12 +503,11 @@ def _eligible_probe(A: Absorber) -> Optional[tuple]:
 
 @dataclass
 class AbsorbingPath:
-    """A tight path stitched from absorber sub-paths (plus an optional
-    flexible blow-up gadget), with enough structure to rewrite it."""
+    """A tight path stitched from absorber sub-paths, with enough
+    structure to rewrite it."""
 
-    segments: list  # (kind, tag, vertex tuple); kind in conn|kshort|link|gadget
+    segments: list  # (kind, tag, vertex tuple); kind in conn|kshort|link
     absorbers: list
-    gadget_classes: Optional[list] = None
 
     @property
     def path(self) -> TightPath:
@@ -523,8 +530,7 @@ def build_absorbing_path(
     seed: Optional[int] = None,
     trace: Optional[dict] = None,
 ) -> Optional[AbsorbingPath]:
-    """Collect disjoint absorbers avoiding the reservoir R, plus a flexible
-    blow-up gadget when ``params.use_gadget`` is set, and stitch all
+    """Collect disjoint absorbers avoiding the reservoir R and stitch their
     sub-paths into one tight path with inner connection vertices outside R.
     Its facts, and on failure its ``fail_stage``, go into ``trace``."""
     trace = {} if trace is None else trace
@@ -533,10 +539,8 @@ def build_absorbing_path(
     seed = params.seed if seed is None else seed
     rng = np.random.Generator(np.random.PCG64(seed))
     free = n - rmask.bit_count()
-    # an opted-in gadget search needs 32 vertices left beside the absorbers
-    reserve = 32 if params.use_gadget else 0
     t_target = 2 * ceil(cover_target(params.gamma, n))
-    t_target = max(1, min(t_target, (free - reserve - 3) // 22))
+    t_target = max(1, min(t_target, (free - 3) // 22))
     absorbers: list[Absorber] = []
     forbidden = rmask
     while len(absorbers) < t_target:
@@ -555,22 +559,11 @@ def build_absorbing_path(
         trace["fail_stage"] = "absorber_shortage"
         return None
 
-    gadget_classes = None
-    if params.use_gadget and n - forbidden.bit_count() >= 32:
-        gadget_classes = find_c8_blowup(
-            H,
-            budget=GADGET_BUDGET,
-            seed=int(rng.integers(2**31)),
-            avoid=bits(forbidden),
-        )
-
     pieces: list[tuple] = []  # (kind, tag, verts)
     for j, A in enumerate(absorbers):
         pieces.append(("kshort", j, tuple(A.k_path_short())))
         for i in range(3):
             pieces.append(("link", (j, i), tuple(A.link_path(i))))
-    if gadget_classes is not None:
-        pieces.append(("gadget", None, tuple(blowup_path_ordering(gadget_classes))))
 
     pieces_mask = 0
     for _, _, verts in pieces:
@@ -605,9 +598,7 @@ def build_absorbing_path(
             segments.append(("conn", None, tuple(inner)))
         segments.append(chosen)
 
-    ap = AbsorbingPath(
-        segments=segments, absorbers=absorbers, gadget_classes=gadget_classes
-    )
+    ap = AbsorbingPath(segments=segments, absorbers=absorbers)
     seq = ap.vertex_sequence()
     if not verify_tight_path(H, seq):
         raise UncertifiedResult("absorbing path failed re-verification")
@@ -618,7 +609,6 @@ def build_absorbing_path(
     trace.update(
         {
             "absorbers": len(absorbers),
-            "gadget": gadget_classes is not None,
             "length": len(seq),
             "connectable_ends": ends_ok,
         }
@@ -640,9 +630,8 @@ def absorb(
 ) -> Optional[TightPath]:
     """Rewrite the absorbing path so it additionally spans U (same ends).
 
-    When |U| is not divisible by three the flexible gadget sheds 8 or 16
-    vertices into U first; without a gadget that situation is a divisibility
-    failure.  U is then split into triples and matched to unused absorbers on
+    A U whose size is not divisible by three is a divisibility failure.
+    Otherwise U is split into triples and matched to unused absorbers on
     eligibility (all six slot assignments tried per pair).  Its facts, and on
     failure its ``fail_stage``, go into ``trace``."""
     trace = {} if trace is None else trace
@@ -652,12 +641,9 @@ def absorb(
         raise ValueError("U must be disjoint from the absorbing path")
     if not u:
         return A.path
-    drop = _shed(len(u))
-    if drop and A.gadget_classes is None:
+    if len(u) % 3:
         trace["fail_stage"] = "divisibility"
         return None
-    freed = [c[layer] for layer in drop for c in A.gadget_classes]
-    u = sorted(u + freed)
     triples = [tuple(u[i : i + 3]) for i in range(0, len(u), 3)]
     if len(triples) > len(A.absorbers):
         trace.update({"fail_stage": "capacity", "matched": 0})
@@ -703,19 +689,13 @@ def absorb(
             ti, perm = match[j]
             middle = triples[ti][perm[i]]
             new_segments.append((kind, tag, tuple(A.absorbers[j].link_path(i, middle))))
-        elif kind == "gadget" and drop:
-            new_segments.append(
-                (kind, tag, tuple(blowup_path_ordering(A.gadget_classes, drop)))
-            )
         else:
             new_segments.append((kind, tag, verts))
     seq = tuple(v for _, _, verts in new_segments for v in verts)
     old = A.vertex_sequence()
     if seq[:2] != old[:2] or seq[-2:] != old[-2:] or not verify_tight_path(H, seq):
         raise UncertifiedResult("absorption produced an uncertified path")
-    trace.update(
-        {"absorbed": len(triples) * 3 - len(freed), "gadget_removed": len(freed)}
-    )
+    trace["absorbed"] = len(u)
     return TightPath(seq)
 
 
@@ -726,23 +706,24 @@ def find_tight_hamilton(
     H: Hypergraph3, params: Optional[PipelineParams] = None
 ) -> tuple[Optional[TightPath], dict]:
     """Reservoir sampling, absorbing path, almost cover, cyclic connection
-    through the reservoir, parity fixing, absorption.  Returns the verified
-    cycle (or None) plus a trace; retries with derived seeds.
+    through the reservoir, parity fixing (the closing connection's free
+    length, then a trim of a covered path end), absorption.  Returns the
+    verified cycle (or None) plus a trace; retries with derived seeds.
 
     The trace holds ``n``, ``success_attempt`` (None when every attempt
     failed), ``cycle_length`` on success, and ``attempts``: one flat record
     per attempt, with the keys its stages reached:
 
     - ``attempt``, ``reservoir`` (the reservoir's size);
-    - ``absorbers``, ``gadget``, ``length``, ``connectable_ends``: the
-      absorbing path's absorber count, whether it holds the parity gadget,
-      its vertex count, and whether both its end pairs are connectable;
+    - ``absorbers``, ``length``, ``connectable_ends``: the absorbing path's
+      absorber count, its vertex count, and whether both its end pairs are
+      connectable;
     - ``cover``: ``{"paths", "uncovered"}`` of the almost cover;
     - from the attempt's last parity try: ``trim`` (0, 1 or 2 vertices
       trimmed off a covered path end), ``connections`` (the inner lengths of
       the connections through the reservoir), ``leftover`` (the vertices
-      handed to absorption), then ``absorbed`` and ``gadget_removed`` on
-      success or ``matched`` on a matching failure;
+      handed to absorption), then ``absorbed`` on success or ``matched`` on
+      a matching failure;
     - ``fail_stage``, on a failed attempt only, one of:
       ``absorber_shortage`` (no absorber outside the reservoir),
       ``absorbing_connect`` (two absorber sub-paths did not connect) and
@@ -835,7 +816,6 @@ def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, tried):
     avail = rmask
     conns: list[tuple] = []
     spare = len(ap.absorbers)
-    has_gadget = ap.gadget_classes is not None
     for i in range(k):
         frm = pieces[i].end_pair
         to = pieces[(i + 1) % k].start_pair
@@ -844,7 +824,7 @@ def _connect_and_absorb(H, params, rng, ap, paths, uncovered, rmask, tried):
         if i < k - 1:
             lengths = _spread_lengths(avail_count, remaining)
         else:
-            lengths = _closing_lengths(avail_count, len(uncovered), spare, has_gadget)
+            lengths = _closing_lengths(avail_count, len(uncovered), spare)
             if lengths is None:
                 tried["fail_stage"] = "parity_planning"
                 return None
@@ -889,29 +869,19 @@ def _spread_lengths(avail, remaining) -> list[int]:
     return sorted(range(0, cap + 1), key=lambda l: (abs(l - target), l))
 
 
-def _shed(k: int) -> tuple[int, ...]:
-    """The gadget layers a leftover of k vertices sheds into itself: none, or
-    one or two layers of 8 vertices, whichever makes the total divisible by
-    three."""
-    return ((), (1,), (1, 2))[k % 3]
+def _absorbable(leftover: int, spare: int) -> bool:
+    """Whether a leftover of this size splits into triples that the spare
+    absorbers can take."""
+    return leftover % 3 == 0 and leftover // 3 <= spare
 
 
-def _absorbable(leftover: int, spare: int, has_gadget: bool) -> bool:
-    """Whether a leftover of this size fits the absorbers, counting the
-    gadget vertices a parity fix would shed into it."""
-    drop = _shed(leftover)
-    if drop and not has_gadget:
-        return False
-    return (leftover + 8 * len(drop)) // 3 <= spare
-
-
-def _closing_lengths(avail, uncovered, spare, has_gadget) -> Optional[list[int]]:
+def _closing_lengths(avail, uncovered, spare) -> Optional[list[int]]:
     """Feasible inner lengths for the closing connection, longest first so
     that it consumes as much reservoir as possible: the leftover (uncovered
     plus unused reservoir) must be absorbable."""
     out = [
         l
         for l in range(min(MAX_INNER, avail), -1, -1)
-        if _absorbable(uncovered + avail - l, spare, has_gadget)
+        if _absorbable(uncovered + avail - l, spare)
     ]
     return out or None

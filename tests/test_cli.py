@@ -2,6 +2,8 @@ import dataclasses
 import inspect
 import itertools
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -227,17 +229,17 @@ def test_hamilton_cover_shortfall_follows_the_library_target(
     assert bool(res["paths"]) is shortfall
 
 
-def test_hamilton_find_json_is_schema_2_with_flat_attempts(tmp_path, capsys):
+def test_hamilton_find_json_is_schema_3_with_flat_attempts(tmp_path, capsys):
     out = tmp_path / "r30.h3"
     run(capsys, "gen", "--family", "random", "--n", "30", "--p", "0.9", "--seed", "0",
         "-o", str(out))
     code, stdout, _ = run(capsys, "hamilton", "find", "--seed", "3", str(out))
     assert code == 0
     payload = json.loads(stdout)
-    assert payload["schema_version"] == 2 and "backend" not in payload
+    assert payload["schema_version"] == 3 and "backend" not in payload
     (at,) = payload["result"]["trace"]["attempts"]
-    assert {"absorbers", "gadget", "trim", "leftover", "absorbed"} <= set(at)
-    assert not {"absorbing", "absorb", "fail_stage"} & set(at)
+    assert {"absorbers", "trim", "leftover", "absorbed"} <= set(at)
+    assert not {"absorbing", "absorb", "fail_stage", "gadget", "gadget_removed"} & set(at)
     assert not any(isinstance(value, dict) for key, value in at.items() if key != "cover")
 
 
@@ -276,14 +278,13 @@ def test_hamilton_parser_defaults_are_the_library_defaults():
     # the find flags are the pipeline's fields, each with the library's
     # default, so a field added or removed on one side only fails here; the
     # parser's seed default None means seed 0
-    flag = {"use_gadget": "gadget"}
     parsed = {"seed": lambda v: 0 if v is None else v}
     fields = dataclasses.fields(cli.hamilton.PipelineParams)
     assert set(find) - {"format", "strict", "command", "action", "file"} == {
-        flag.get(f.name, f.name) for f in fields
+        f.name for f in fields
     }
     for field in fields:
-        value = parsed.get(field.name, lambda v: v)(find[flag.get(field.name, field.name)])
+        value = parsed.get(field.name, lambda v: v)(find[field.name])
         assert value == getattr(pipeline, field.name), field.name
     # the pipeline hands almost_cover its own beta and gamma
     cover = parser.parse_args(["hamilton", "cover", "f.h3"])
@@ -296,21 +297,11 @@ def test_hamilton_parser_defaults_are_the_library_defaults():
     assert connect.max_inner == defaults["max_inner"].default
 
 
-@pytest.mark.parametrize("flag", [False, True])
-def test_hamilton_find_gadget_flag_reaches_params(tmp_path, capsys, monkeypatch, flag):
-    out = tmp_path / "k12.h3"
-    run(capsys, "gen", "--family", "complete", "--n", "12", "-o", str(out))
-    seen = []
-
-    def record(H, params):
-        seen.append(params)
-        return None, {"attempts": []}
-
-    monkeypatch.setattr(cli.hamilton, "find_tight_hamilton", record)
-    argv = ["hamilton", "find", "--seed", "1"] + (["--gadget"] if flag else [])
-    code, _, _ = run(capsys, *argv, str(out))
-    assert code == 1
-    assert seen == [cli.hamilton.PipelineParams(seed=1, use_gadget=flag)]
+def test_hamilton_find_gadget_flag_is_a_usage_error(capsys):
+    # the pipeline has one parity mechanism; the gadget is a motif search
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hamilton", "find", "--gadget", "--seed", "1", "f.h3"])
+    assert exc.value.code == 2
 
 
 def test_oracle_count_paths_cli(tmp_path, capsys):
@@ -339,6 +330,37 @@ def test_endpoint_outside_host_is_exit_3(tmp_path, capsys, command, bad):
         assert code == 3 and stdout == ""
         diag = json.loads(stderr)
         assert diag["error"] == "ValueError" and "0..9" in diag["message"]
+
+
+def test_connect_allowed_outside_host_is_exit_3(tmp_path, capsys):
+    # before, the allowed vertex 10 on ten vertices was dropped silently
+    out = tmp_path / "k10.h3"
+    run(capsys, "gen", "--family", "complete", "--n", "10", "-o", str(out))
+    code, stdout, stderr = run(capsys, "hamilton", "connect", "--from", "0,1",
+                               "--to", "2,3", "--allowed", "4,5,10", "--seed", "0",
+                               str(out))
+    assert code == 3 and stdout == ""
+    diag = json.loads(stderr)
+    assert diag == {"error": "ValueError", "schema_version": 3,
+                    "message": "allowed vertices must lie in 0..9"}
+
+
+def _readme_commands() -> list[str]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.split("#")[0].strip() for line in readme.read_text().splitlines()]
+    return [line for line in lines if line.startswith("tightcycles ")]
+
+
+def test_readme_commands_parse():
+    # a flag removed from the parser but left in an example fails here
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {command}")
 
 
 def test_strict_requires_seed(tmp_path, capsys):

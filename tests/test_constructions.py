@@ -19,6 +19,14 @@ def test_generators_deterministic():
         assert a == b
 
 
+@pytest.mark.parametrize("xy", [False, True])
+def test_generate_hp_forwards_include_xy_edges(xy):
+    spec = cons.GenSpec("hp", n=12, p=0.5, seed=9, include_xy_edges=xy)
+    want = cons.hp_construction(12, 0.5, 9, include_xy_edges=xy)
+    assert cons.generate(spec) == want
+    assert want.m == (88 if xy else 78)
+
+
 def test_random_extremes():
     assert cons.random(6, 1.0, 0) == cons.complete(6)
     assert cons.random(6, 0.0, 0).m == 0

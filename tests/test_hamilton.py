@@ -78,6 +78,13 @@ def test_connect_endpoint_validation():
         ham.connect(cons.complete(8), (0, 1), (1, 2), range(8))
 
 
+@pytest.mark.parametrize("allowed", [range(13), [4, 12], [99]])
+def test_connect_refuses_allowed_vertices_outside_the_host(allowed):
+    # an allowed vertex >= n was dropped silently before
+    with pytest.raises(ValueError, match=r"allowed vertices must lie in 0\.\.11"):
+        ham.connect(cons.complete(12), (0, 1), (2, 3), allowed)
+
+
 def test_connect_stats_on_absence():
     stats = {}
     out = ham.connect(cons.empty(10), (0, 1), (2, 3), range(10), stats=stats, seed=0)
@@ -123,6 +130,15 @@ def test_cover_cleaned_away_shortfall():
     H = cons.tight_cycle(12)
     paths, unc = ham.almost_cover(H, 0.25, 0.3, seed=0)
     assert paths == [] and len(unc) == 12
+
+
+def test_cover_refuses_allowed_vertices_outside_the_host():
+    # before, vertices 30..39 came back as "uncovered", and they do not exist
+    H = cons.random(30, 0.9, 1)
+    with pytest.raises(ValueError, match=r"allowed vertices must lie in 0\.\.29"):
+        ham.almost_cover(H, 0.05, 0.15, seed=1, allowed=range(40))
+    paths, unc = ham.almost_cover(H, 0.05, 0.15, seed=1, allowed=range(30))
+    assert unc <= set(range(30))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -332,80 +348,11 @@ def test_absorb_identity_and_triples():
 
 def test_absorb_divisibility_without_gadget():
     H = cons.complete(60)
-    ap = ham.build_absorbing_path(
-        H, [0], ham.PipelineParams(gamma=0.1, seed=2, use_gadget=False)
-    )
+    ap = ham.build_absorbing_path(H, [0], ham.PipelineParams(gamma=0.1, seed=2))
     outside = [v for v in range(60) if not (ap.vertex_mask() >> v) & 1 and v != 0]
     tr = {}
     assert ham.absorb(H, ap, outside[:4], trace=tr) is None
     assert tr["fail_stage"] == "divisibility"
-
-
-def test_absorb_gadget_parity_fix():
-    H = cons.complete(140)
-    ap = ham.build_absorbing_path(
-        H, [0, 1, 2], ham.PipelineParams(seed=0, use_gadget=True)
-    )
-    assert ap is not None and ap.gadget_classes is not None
-    assert len(ap.absorbers) >= 4
-    outside = [
-        v
-        for v in range(140)
-        if not (ap.vertex_mask() >> v) & 1 and v not in (0, 1, 2)
-    ]
-    before = ap.vertex_sequence()
-    U = outside[:4]
-    out = ham.absorb(H, ap, U)  # |U| = 4 sheds 8 gadget vertices
-    assert out is not None
-    assert len(out) == len(before) + 4
-    assert verify_tight_path(H, out.vertices)
-    # the shed gadget vertices are reallocated to U and re-absorbed, so the
-    # final vertex set is exactly the old one plus U
-    assert set(out.vertices) == set(before) | set(U)
-    # and the gadget segment itself shrank by the shed layer
-    gadget_seg = next(s for s in ap.segments if s[0] == "gadget")
-    assert sum(1 for v in gadget_seg[2] if v not in set(out.vertices)) == 0
-    full = len(gadget_seg[2])
-    kept = [v for v in out.vertices if v in set(gadget_seg[2])]
-    assert len(kept) == full  # all still present, 8 of them now in link slots
-
-
-def test_pipeline_gadget_end_to_end():
-    H = cons.random(120, 0.92, 902)
-    cyc, trace = ham.find_tight_hamilton(
-        H, ham.PipelineParams(seed=2, use_gadget=True)
-    )
-    assert cyc is not None and verify_tight_cycle(H, cyc.vertices)
-    assert len(cyc) == 120
-    assert trace["attempts"][-1]["gadget"]
-
-
-def test_absorb_sheds_two_gadget_layers():
-    # a leftover of 2 vertices sheds layers 1 and 2 of the gadget, 16
-    # vertices, and the 18 left fill all six absorbers
-    H = cons.complete(170)
-    ap = ham.build_absorbing_path(H, [0, 1, 2], ham.PipelineParams(seed=0, use_gadget=True))
-    assert ap is not None and ap.gadget_classes is not None
-    assert len(ap.absorbers) == 6
-    before = ap.vertex_sequence()
-    U = [v for v in range(170) if not (ap.vertex_mask() >> v) & 1 and v not in (0, 1, 2)][:2]
-    tr = {}
-    out = ham.absorb(H, ap, U, trace=tr)
-    assert out is not None and verify_tight_path(H, out.vertices)
-    assert (tr["gadget_removed"], tr["absorbed"]) == (16, 2)
-    assert set(out.vertices) == set(before) | set(U)
-    assert out.vertices[:2] == before[:2] and out.vertices[-2:] == before[-2:]
-
-
-def test_pipeline_parity_gadget_shed():
-    """Parity repair through the opted-in gadget on a full pipeline run: the
-    absorption sheds the C8 blow-up's 8 vertices on the first attempt."""
-    H = cons.random(120, 0.92, 902)
-    cyc, trace = ham.find_tight_hamilton(H, ham.PipelineParams(seed=1, use_gadget=True))
-    assert trace["success_attempt"] == 0
-    assert trace["attempts"][0]["gadget_removed"] == 8
-    assert sorted(cyc.vertices) == list(range(120))
-    assert verify_tight_cycle(H, cyc.vertices)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -476,22 +423,10 @@ def test_length_orders_keep_connect_orders(monkeypatch):
                 )
             for uncovered in range(6):
                 for spare in range(5):
-                    for gadget in (False, True):
-                        args = (avail, uncovered, spare, gadget)
-                        assert seen(ham._closing_lengths(*args), mi) == seen(
-                            _old_closing(mi, *args), mi
-                        )
-
-
-def test_shed_rule_matches_the_former_rule():
-    # the one shed rule sheds 8 * len(layers) vertices, which the absorber
-    # count check reads as the former "8 if (k + 8) % 3 == 0, else 16" did
-    for k in range(40):
-        drop = ham._shed(k)
-        assert (k + 8 * len(drop)) % 3 == 0
-        for spare in range(20):
-            for gadget in (False, True):
-                assert ham._absorbable(k, spare, gadget) == _old_absorbable(k, spare, gadget)
+                    args = (avail, uncovered, spare)
+                    assert seen(ham._closing_lengths(*args), mi) == seen(
+                        _old_closing(mi, *args, has_gadget=False), mi
+                    )
 
 
 # -- the full pipeline -----------------------------------------------------------------
