@@ -341,19 +341,14 @@ def test_connect_allowed_outside_host_is_exit_3(tmp_path, capsys):
                                str(out))
     assert code == 3 and stdout == ""
     diag = json.loads(stderr)
-    assert diag == {"error": "ValueError", "schema_version": 3,
-                    "message": "allowed vertices must lie in 0..9"}
-
-
-def _readme_commands() -> list[str]:
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines = [line.split("#")[0].strip() for line in readme.read_text().splitlines()]
-    return [line for line in lines if line.startswith("tightcycles ")]
+    assert (diag["error"], diag["message"]) == ("ValueError", "allowed vertices must lie in 0..9")
 
 
 def test_readme_commands_parse():
     # a flag removed from the parser but left in an example fails here
-    commands = _readme_commands()
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.split("#")[0].strip() for line in readme.read_text().splitlines()]
+    commands = [line for line in lines if line.startswith("tightcycles ")]
     assert len(commands) >= 10
     parser = cli.build_parser()
     for command in commands:
