@@ -297,11 +297,30 @@ def test_hamilton_parser_defaults_are_the_library_defaults():
     assert connect.max_inner == defaults["max_inner"].default
 
 
-def test_hamilton_find_gadget_flag_is_a_usage_error(capsys):
-    # the pipeline has one parity mechanism; the gadget is a motif search
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["hamilton", "find", "--gadget", "--seed", "1", "f.h3"])
-    assert exc.value.code == 2
+@pytest.mark.parametrize("flag", [False, True])
+def test_hamilton_find_gadget_flag_reaches_params(tmp_path, capsys, monkeypatch, flag):
+    # the pipeline has one parity mechanism and no gadget switch: without
+    # --gadget the parsed flags reach the pipeline, with it the parser stops
+    # at a usage error and the pipeline is never called
+    out = tmp_path / "k12.h3"
+    run(capsys, "gen", "--family", "complete", "--n", "12", "-o", str(out))
+    seen = []
+
+    def record(H, params):
+        seen.append(params)
+        return None, {"attempts": []}
+
+    monkeypatch.setattr(cli.hamilton, "find_tight_hamilton", record)
+    argv = ["hamilton", "find", "--seed", "1"] + (["--gadget"] if flag else [])
+    if flag:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, str(out)])
+        assert exc.value.code == 2
+        assert seen == []
+    else:
+        code, _, _ = run(capsys, *argv, str(out))
+        assert code == 1
+        assert seen == [cli.hamilton.PipelineParams(seed=1)]
 
 
 def test_oracle_count_paths_cli(tmp_path, capsys):
