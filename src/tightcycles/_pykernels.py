@@ -1,14 +1,19 @@
 """The exact kernels: the Hamilton subset DP and the ev / vvv / ee
 deviation minimisations.
 
-The Hamilton kernel runs the subset DP on big-integer bitmaps (one bitmap
-per ordered end pair, one bit per visited set), rooted at the pairs (0, b).
-It runs the first root alone.  If that finds no cycle, one union run seeded
-with every other root shows which of them could close, and only those are
-rerun: a skipped root's table lies inside the union's, so it had no closing
-state.  On every two-colouring host tried (``example1``, n = 12 to 20) the
-union admits no root, so each costs two runs instead of n - 1, and n = 20
-(``oracle.DP_MAX_N``) takes 1.1-1.9 s on 2 vCPU.
+The Hamilton kernel runs the subset DP on big-integer bitmaps: one bitmap
+per ordered end pair, one bit per visited set.  Every set of a run holds
+vertex 0, and in a run rooted at the pair (0, b) also b, so a run indexes
+its sets by the other vertices alone (its :class:`_Frame`): n - 2 of them in
+a rooted run and n - 1 in the union run below, a bitmap 4x and 2x smaller
+than one over all n.  A round expands only the end pairs whose bitmap grew
+since their last expansion.  The kernel runs the first root alone.  If that
+finds no cycle, one union run seeded with every other root shows which of
+them could close, and only those are rerun: a skipped root's table lies
+inside the union's, so it had no closing state.  On every two-colouring
+host tried (``example1``, n = 12 to 20) the union admits no root, so each
+costs two runs instead of n - 1, and n = 20 (``oracle.DP_MAX_N``) takes
+0.3-0.4 s on 2 vCPU (five seeds).
 
 The deviation kernels read the dense 0/1 edge tensor and sweep their subsets
 as 0/1 rows whose counts are float32 products (see :func:`int_matmul`); ev
@@ -17,6 +22,8 @@ any n.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,35 +59,30 @@ def tight_hamilton_cycle(n: int, nbr: tuple[int, ...]) -> list[int] | None:
     """
     if n < 4:
         return None
-    full = (1 << n) - 1
-    # bitmap over visited-set indices in which bit w is clear
-    without = []
-    for w in range(n):
-        block = (1 << (1 << w)) - 1
-        pat = block
-        width = 1 << (w + 1)
-        while width < (1 << n):
-            pat |= pat << width
-            width <<= 1
-        without.append(pat)
-
-    def rooted(b):
-        dp = _grow(n, nbr, without, {b: 1 << (1 | 1 << b)})
-        return _close(n, nbr, dp, b, full)
-
     roots = [b for b in range(1, n) if nbr[b]]  # (0, b) extends through N(0, b)
     if not roots:
         return None
+    # over the union run's n - 1 live vertices; a rooted run's bitmaps hold
+    # only the low 2^(n-2) indices, where the first n - 2 patterns agree
+    # with its own
+    pats = _patterns(n - 1)
+
+    def rooted(b):
+        frame = _frame(n, 1 | 1 << b, pats)
+        dp = _grow(n, nbr, frame, {b: 1})  # the seed set {0, b} has index 0
+        return _close(n, nbr, dp, frame, b)
+
     cycle = rooted(roots[0])
     if cycle is not None:
         return cycle
-    union = _grow(n, nbr, without, {b: 1 << (1 | 1 << b) for b in roots[1:]})
+    frame = _frame(n, 1, pats)
+    union = _grow(n, nbr, frame, {b: 1 << frame.bit[b] for b in roots[1:]})
     admitted = 0
     for key, bitmap in union.items():
-        if (bitmap >> full) & 1 and nbr[key] & 1:
+        if (bitmap >> frame.full) & 1 and nbr[key] & 1:
             v = key % n
             admitted |= nbr[v * n] & ((1 << v) - 1)
-    del union  # up to n² bitmaps of 2^n bits, freed before the reruns
+    del union  # up to n² bitmaps of 2^(n-1) bits, freed before the reruns
     for b in roots[1:]:
         if (admitted >> b) & 1:
             cycle = rooted(b)
@@ -89,36 +91,87 @@ def tight_hamilton_cycle(n: int, nbr: tuple[int, ...]) -> list[int] | None:
     return None
 
 
-def _grow(n, nbr, without, dp):
+class _Frame(NamedTuple):
+    """How a run indexes its visited sets.  Every set holds the fixed
+    vertices (0, and b in a rooted run), so a set is indexed by its live
+    vertices alone: the live vertex of rank r (ascending) is index bit
+    ``1 << r``, and a fixed vertex has index bit 0."""
+
+    live: int  # mask of the live vertices
+    bit: list[int]  # index bit of each vertex
+    without: list[int]  # per vertex, the indices whose sets miss it
+    full: int  # index of the full set
+
+
+def _patterns(m):
+    """For each rank r < m, the bitmap over 2^m indices in which bit r of
+    the index is clear."""
+    pats = []
+    for r in range(m):
+        pat = (1 << (1 << r)) - 1
+        width = 1 << (r + 1)
+        while width < (1 << m):
+            pat |= pat << width
+            width <<= 1
+        pats.append(pat)
+    return pats
+
+
+def _frame(n, fixed, pats):
+    """The frame of the runs whose sets all hold the vertex mask ``fixed``;
+    ``pats`` are :func:`_patterns` of at least as many ranks as there are
+    live vertices."""
+    live = ((1 << n) - 1) & ~fixed
+    bit = [0] * n
+    without = [0] * n
+    r = 0
+    for w in range(n):
+        if (live >> w) & 1:
+            bit[w] = 1 << r
+            without[w] = pats[r]
+            r += 1
+    return _Frame(live, bit, without, (1 << r) - 1)
+
+
+def _grow(n, nbr, frame, dp):
     """Extend the tight paths of ``dp`` (ordered end pair u*n+v -> bitmap
-    of visited sets) in place until every reachable state is set."""
+    of visited-set indices) in place until every reachable state is set.
+
+    A key is expanded only when its bitmap has grown since its last
+    expansion (it is in ``dirty``): targets only grow, so expanding it again
+    would add nothing, and the table and its key order stay those of
+    expanding every key in every round."""
+    live, bit, without = frame.live, frame.bit, frame.without
+    dirty = set(dp)
     for _ in range(n - 2):
-        changed = False
+        if not dirty:
+            break
         for key in list(dp):
+            if key not in dirty:
+                continue
+            dirty.remove(key)
             cur = dp[key]
             v = key % n
-            ext = nbr[key]
+            ext = nbr[key] & live
             while ext:
                 w = _ctz(ext)
                 ext &= ext - 1
-                add = (cur & without[w]) << (1 << w)
+                add = (cur & without[w]) << bit[w]
                 if add:
                     k2 = v * n + w
                     old = dp.get(k2, 0)
                     new = old | add
                     if new != old:
                         dp[k2] = new
-                        changed = True
-        if not changed:
-            break
+                        dirty.add(k2)
     return dp
 
 
-def _close(n, nbr, dp, b, full):
+def _close(n, nbr, dp, frame, b):
     """The cycle of the first closing state of root b's table, or None."""
     # last pair (u, v), edges {u,v,0} and {v,0,b}, v > b
     for key, bitmap in dp.items():
-        if not (bitmap >> full) & 1:
+        if not (bitmap >> frame.full) & 1:
             continue
         u, v = divmod(key, n)
         if v <= b:
@@ -127,29 +180,31 @@ def _close(n, nbr, dp, b, full):
             continue
         if not (nbr[v * n] >> b) & 1:
             continue
-        return _extract(n, nbr, dp, b, u, v, full)
+        return _extract(n, nbr, dp, frame, u, v)
     return None
 
 
-def _extract(n, nbr, dp, b, u, v, mask):
-    seed_mask = 1 | (1 << b)
+def _extract(n, nbr, dp, frame, u, v):
+    """The path of a rooted table's full state (u, v), read back to the
+    seed (0, b), whose index is 0.  Each step drops the live end v from the
+    set, so the walk ends after at most n - 2 steps."""
+    bit = frame.bit
+    mask = frame.full
     rev = [v, u]
-    while mask != seed_mask:
-        mask2 = mask ^ (1 << v)
-        found = False
+    while mask and mask & bit[v]:
+        mask2 = mask ^ bit[v]
         for w in range(n):
-            if w == u or not (mask2 >> w) & 1:
+            if w == u or (mask2 & bit[w]) != bit[w]:  # w not in the set
                 continue
-            if not (nbr[w * n + u] >> v) & 1:
-                continue
-            if (dp.get(w * n + u, 0) >> mask2) & 1:
-                rev.append(w)
-                u, v = w, u
-                mask = mask2
-                found = True
+            if (nbr[w * n + u] >> v) & 1 and (dp.get(w * n + u, 0) >> mask2) & 1:
                 break
-        if not found:
-            raise UncertifiedResult("DP extraction lost the predecessor chain")
+        else:
+            break
+        rev.append(w)
+        u, v = w, u
+        mask = mask2
+    if mask:
+        raise UncertifiedResult("DP extraction lost the predecessor chain")
     rev.reverse()
     return rev
 

@@ -15,9 +15,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from tightcycles._pykernels import _ctz, _extract
+from tightcycles._pykernels import _ctz
 from tightcycles.constructions import _rng
 from tightcycles.density import as_density_fraction, ee_value
+from tightcycles.errors import UncertifiedResult
 from tightcycles.hamilton import Absorber, _eligible_probe, is_absorber
 from tightcycles.hypercore import (
     Hypergraph3,
@@ -460,14 +461,9 @@ def naive_tight_hamilton(H) -> bool:
     return False
 
 
-def tight_hamilton_cycle_reference(n: int, nbr) -> list[int] | None:
-    """The former Hamilton kernel: one full rooted subset DP per root pair
-    (0, b), b = 1..n-1, each closed in turn; the library's kernel must
-    return the same list or None."""
-    if n < 4:
-        return None
-    full = (1 << n) - 1
-    # bitmap over visited-set indices in which bit w is clear
+def _without_reference(n: int) -> list[int]:
+    """Per vertex w, the bitmap over every visited-set mask in which bit w
+    is clear."""
     without = []
     for w in range(n):
         block = (1 << (1 << w)) - 1
@@ -477,32 +473,73 @@ def tight_hamilton_cycle_reference(n: int, nbr) -> list[int] | None:
             pat |= pat << width
             width <<= 1
         without.append(pat)
+    return without
 
+
+def rooted_table_reference(n: int, nbr, b: int, without=None) -> dict[int, int]:
+    """The former rooted DP table of root (0, b): ordered end pair u*n+v ->
+    bitmap over full visited-set masks, every key expanded in every round."""
+    if without is None:
+        without = _without_reference(n)
+    dp: dict[int, int] = {b: 1 << (1 | 1 << b)}
+    for _ in range(n - 2):
+        changed = False
+        for key in list(dp):
+            cur = dp[key]
+            v = key % n
+            ext = nbr[key]
+            while ext:
+                w = _ctz(ext)
+                ext &= ext - 1
+                add = (cur & without[w]) << (1 << w)
+                if add:
+                    k2 = v * n + w
+                    old = dp.get(k2, 0)
+                    new = old | add
+                    if new != old:
+                        dp[k2] = new
+                        changed = True
+        if not changed:
+            break
+    return dp
+
+
+def _extract_reference(n, nbr, dp, b, u, v, mask):
+    """The former extraction, over full visited-set masks."""
+    seed_mask = 1 | (1 << b)
+    rev = [v, u]
+    while mask != seed_mask:
+        mask2 = mask ^ (1 << v)
+        found = False
+        for w in range(n):
+            if w == u or not (mask2 >> w) & 1:
+                continue
+            if not (nbr[w * n + u] >> v) & 1:
+                continue
+            if (dp.get(w * n + u, 0) >> mask2) & 1:
+                rev.append(w)
+                u, v = w, u
+                mask = mask2
+                found = True
+                break
+        if not found:
+            raise UncertifiedResult("DP extraction lost the predecessor chain")
+    rev.reverse()
+    return rev
+
+
+def tight_hamilton_cycle_reference(n: int, nbr) -> list[int] | None:
+    """The former Hamilton kernel: one full rooted subset DP per root pair
+    (0, b), b = 1..n-1, each closed in turn; the library's kernel must
+    return the same list or None."""
+    if n < 4:
+        return None
+    full = (1 << n) - 1
+    without = _without_reference(n)
     for b in range(1, n):
         if not nbr[b]:  # pair (0, b) extends through N(0, b)
             continue
-        seed_mask = 1 | (1 << b)
-        seed_bit = 1 << seed_mask
-        dp: dict[int, int] = {b: seed_bit}  # key: ordered pair u*n+v
-        for _ in range(n - 2):
-            changed = False
-            for key in list(dp):
-                cur = dp[key]
-                v = key % n
-                ext = nbr[key]
-                while ext:
-                    w = _ctz(ext)
-                    ext &= ext - 1
-                    add = (cur & without[w]) << (1 << w)
-                    if add:
-                        k2 = v * n + w
-                        old = dp.get(k2, 0)
-                        new = old | add
-                        if new != old:
-                            dp[k2] = new
-                            changed = True
-            if not changed:
-                break
+        dp = rooted_table_reference(n, nbr, b, without)
         # close: last pair (u, v), edges {u,v,0} and {v,0,b}, v > b
         for key, bitmap in dp.items():
             if not (bitmap >> full) & 1:
@@ -514,7 +551,7 @@ def tight_hamilton_cycle_reference(n: int, nbr) -> list[int] | None:
                 continue
             if not (nbr[v * n] >> b) & 1:
                 continue
-            return _extract(n, nbr, dp, b, u, v, full)
+            return _extract_reference(n, nbr, dp, b, u, v, full)
     return None
 
 

@@ -19,9 +19,11 @@ from oracles import (
     gray_ev_exact,
     gray_vvv_exact,
     link_lists,
+    rooted_table_reference,
     tight_hamilton_cycle_reference,
 )
 from tightcycles import _pykernels, constructions as cons, density as dn
+from tightcycles.hypercore import from_edges, verify_tight_cycle
 
 DENSITIES = [Fraction(1, 4), Fraction(3, 10), Fraction(1, 2), Fraction(1)]
 HOST_P = [0.3, 0.5, 0.8]
@@ -237,3 +239,81 @@ def test_hamilton_dp_matches_rooted_loop_where_a_later_root_closes():
     for n, hp, seed in LATER_ROOT_HOSTS:
         H = cons.random(n, hp, seed)
         assert _assert_same_cycle(H) is not None and first_root_fails(H)
+
+
+def _rooted_table(n, nbr, b):
+    """The kernel's table of root (0, b), indexed over the n - 2 live vertices."""
+    frame = _pykernels._frame(n, 1 | 1 << b, _pykernels._patterns(n - 2))
+    return _pykernels._grow(n, nbr, frame, {b: 1})
+
+
+def _assert_same_tables(H):
+    """Every root's table has the former table's keys, in the same insertion
+    order, each with as many visited sets: a count that does not depend on
+    how the sets are indexed."""
+    nbr = H.nbr_flat()
+    for b in range(1, H.n):
+        if nbr[b]:
+            want = rooted_table_reference(H.n, nbr, b)
+            got = _rooted_table(H.n, nbr, b)
+            assert list(got) == list(want), b
+            assert [x.bit_count() for x in got.values()] == [
+                x.bit_count() for x in want.values()
+            ], b
+
+
+@pytest.mark.parametrize("slot", DP_SLOTS, ids=lambda slot: slot["slot"])
+def test_rooted_tables_match_former_tables_on_benchmark_hosts(slot):
+    for entry in slot["entries"]:
+        _assert_same_tables(WORKLOADS.host_from_hex(slot["n"], entry["edges"]))
+
+
+def test_rooted_tables_match_former_tables_where_a_later_root_closes():
+    for n, hp, seed in LATER_ROOT_HOSTS:
+        _assert_same_tables(cons.random(n, hp, seed))
+
+
+def _rooted_runs(monkeypatch, H):
+    """The kernel's answer on H, called with no guard in front, and the
+    roots b whose rooted runs it closed, in order."""
+    runs = []
+    close = _pykernels._close
+
+    def record(n, nbr, dp, frame, b):
+        runs.append(b)
+        return close(n, nbr, dp, frame, b)
+
+    monkeypatch.setattr(_pykernels, "_close", record)
+    nbr = H.nbr_flat()
+    cycle = _pykernels.tight_hamilton_cycle(H.n, nbr)
+    assert cycle == tight_hamilton_cycle_reference(H.n, nbr)
+    assert cycle is None or verify_tight_cycle(H, cycle) and sorted(cycle) == list(range(H.n))
+    return cycle, runs
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_hamilton_kernel_on_small_complete_hosts(monkeypatch, n):
+    cycle, runs = _rooted_runs(monkeypatch, cons.complete(n))
+    assert cycle[:2] == [0, 1] and runs == [1]
+
+
+def test_hamilton_kernel_without_a_root():
+    """Vertex 0 lies in no edge, so no pair (0, b) extends and no run starts."""
+    H = from_edges(6, [(a, b, c) for a in range(1, 6) for b in range(a + 1, 6) for c in range(b + 1, 6)])
+    assert _pykernels.tight_hamilton_cycle(6, H.nbr_flat()) is None
+
+
+def test_hamilton_kernel_reruns_only_what_the_union_admits(monkeypatch):
+    """random(6, .3, 239): root 1 fails, the union admits roots 2 and 3, and
+    root 2 closes.  random(6, .3, 39): root 1 fails, the union admits only
+    root 3 of roots 2-5, and its own run does not close."""
+    later = from_edges(6, [
+        (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4),
+        (1, 2, 4), (1, 2, 5), (1, 3, 5), (3, 4, 5),
+    ])
+    assert _rooted_runs(monkeypatch, later) == ([0, 2, 1, 5, 3, 4], [1, 2])
+    refused = from_edges(6, [
+        (0, 1, 4), (0, 2, 5), (0, 3, 4),
+        (1, 2, 5), (1, 3, 4), (1, 3, 5), (3, 4, 5),
+    ])
+    assert _rooted_runs(monkeypatch, refused) == (None, [1, 3])

@@ -159,7 +159,8 @@ for call in (oracle.extract_tight_hamilton, oracle.has_tight_hamilton):
 
 # a DP table without the predecessor chain must not loop forever
 try:
-    _pykernels._extract(8, H.nbr_flat(), {}, 1, 6, 7, (1 << 8) - 1)
+    frame = _pykernels._frame(8, 1 | 1 << 1, _pykernels._patterns(6))
+    _pykernels._extract(8, H.nbr_flat(), {}, frame, 6, 7)
     raise SystemExit("_extract returned without a chain")
 except UncertifiedResult:
     pass
