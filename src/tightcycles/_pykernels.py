@@ -16,9 +16,15 @@ costs two runs instead of n - 1, and n = 20 (``oracle.DP_MAX_N``) takes
 0.3-0.4 s on 2 vCPU (five seeds).
 
 The deviation kernels read the dense 0/1 edge tensor and sweep their subsets
-as 0/1 rows whose counts are float32 products (see :func:`int_matmul`); ev
-takes its subsets in blocks of ``BLOCK`` rows, which bounds its memory at
-any n.
+as 0/1 rows whose counts are float32 products (see :func:`int_matmul`), and
+each returns the first strict minimum of a fixed Gray order.  ev splits a
+subset's Gray index into its low ``SPLIT`` bits and the rest: one table
+holds the margins of every low part, and a Gray walk over the high parts
+adds one row to it per step.  vvv scores blocks of X rows against every Y at
+once, and only the Y whose Gray index is at least the block's first X:
+the edge tensor is symmetric, so a pair (X, Y) scores as (Y, X) does.  Both
+bound their memory at any n, ev by the table of 2^SPLIT rows and vvv by the
+``CELLS`` margins of a block.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ import numpy as np
 from .errors import UncertifiedResult
 
 NAME = "pure"
-BLOCK = 256
+SPLIT = 8  # ev: the low Gray bits taken as one table of 2^SPLIT subsets
+CELLS = 1 << 15  # vvv: the margins a block of X rows scores at once
 
 
 def _ctz(x: int) -> int:
@@ -243,67 +250,95 @@ def ev_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int]:
     ``T`` is the 0/1 edge tensor of :meth:`Hypergraph3.edge_tensor`.  For
     fixed X the optimal P is the set of negative-margin pairs, so the
     objective is 2 * sum over unordered pairs of min(0, |N(y,z) ∩ X|*q - p*|X|).
-    X runs over Gray order in blocks of at most ``BLOCK`` rows, and the first
-    strict minimum in that order is kept.
+    The first strict minimum in Gray order is kept.
+
+    Gray index i = hi * 2^h + lo (h = ``SPLIT``, at most n) splits X: its
+    low h bits are gray_h(lo) with bit h - 1 flipped when hi is odd, which is
+    the row 2^h - 1 - lo of the gray_h order, and its high bits are gray(hi).
+    The margins of the 2^h low parts form one table; a walk over hi in Gray
+    order keeps the high part's margins as one row, and each hi scores its
+    2^h subsets as the table plus that row, read backwards when hi is odd.
     """
     n = len(T)
+    h = min(SPLIT, n)
     iu, ju = np.triu_indices(n, 1)
     inc = T[:, iu, ju]  # inc[x, pair] = [x ∈ N(pair)]
     dt = _wide(p, q, n)
-    # every block counts into one buffer and takes its margins in place: fresh
-    # block-sized arrays can let malloc trim the heap top after each block and
-    # fault it back in on the next (1472 minor faults per call at n = 13)
-    counts = np.empty((min(BLOCK, 1 << n), len(iu)), dtype=np.int64)
+    lo = np.arange(1 << h, dtype=np.int64)
+    X = _rows(lo ^ (lo >> 1), h)
+    table = int_matmul(X, inc[:h]).astype(dt)
+    table *= q
+    table -= p * X.sum(axis=1).astype(dt)[:, None]
+    # the margins one high vertex adds; T is float32, which ``object`` would
+    # take as Python floats
+    step = inc[h:].astype(np.int64).astype(dt, copy=False) * q - p
+    row = np.zeros(len(iu), dtype=dt)
+    buf = np.empty_like(table)
     best = 0
     best_mask = 0
-    for lo in range(0, 1 << n, BLOCK):
-        i = np.arange(lo, min(lo + BLOCK, 1 << n), dtype=np.int64)
-        gray = i ^ (i >> 1)
-        X = _rows(gray, n)
-        k = X.sum(axis=1).astype(dt)
-        m = int_matmul(X, inc, out=counts[: len(X)]).astype(dt, copy=False)
-        m *= q
-        m -= p * k[:, None]
-        s = 2 * np.minimum(m, 0, out=m).sum(axis=1)
+    x = 0
+    for hi in range(1 << (n - h)):
+        if hi:
+            v = _ctz(hi)
+            if (x >> v) & 1:
+                row -= step[v]
+            else:
+                row += step[v]
+            x ^= 1 << v
+        np.add(table, row, out=buf)
+        s = np.minimum(buf, 0, out=buf).sum(axis=1)
+        if hi & 1:
+            s = s[::-1]
         j = int(np.argmin(s))
-        if s[j] < best:
-            best = int(s[j])
-            best_mask = int(gray[j])
+        if 2 * s[j] < best:
+            best = int(2 * s[j])
+            i = hi << h | j
+            best_mask = i ^ (i >> 1)
     return best, best_mask
 
 
 def vvv_exact(T: np.ndarray, p: int, q: int) -> tuple[int, int, int]:
     """Exact vvv deviation numerator and minimising (X, Y) masks.
 
-    Outer Gray walk over X keeping B[b, z] = #{a in X : abz an edge}; every Y
-    is scored at once as M = Y @ B, and for fixed (X, Y) the optimal Z
-    collects the vertices with negative margin.  The first strict minimum in
-    (X, Y) Gray order is kept.
+    For (X, Y) the counts M[z] = #{(a, b) in X × Y : abz an edge} are taken
+    for a block of X rows at once: B = X-rows @ T as (x, b, z) and M = Y-rows
+    @ B, and for fixed (X, Y) the optimal Z collects the vertices with
+    negative margin.  The first strict minimum in (X, Y) Gray order is kept.
+
+    T is symmetric, so the score of (X, Y) is that of (Y, X), and the first
+    minimum of the full order has X's Gray index at most Y's.  A block whose
+    first X has index lo therefore scores only the Y of index >= lo: a pair
+    below the diagonal inside the block mirrors a pair of an earlier row of
+    the same block, so it moves neither the block's minimum nor its first
+    position.  A block holds as many X rows as keep it near ``CELLS``
+    margins.
     """
     n = len(T)
-    j = np.arange(1 << n, dtype=np.int64)
-    ygray = j ^ (j >> 1)
-    Y = _rows(ygray, n)
+    N = 1 << n
+    j = np.arange(N, dtype=np.int64)
+    gray = j ^ (j >> 1)
+    R = _rows(gray, n)
     dt = _wide(p, q, n)
-    ky = Y.sum(axis=1).astype(dt)
-    Y = Y.astype(np.float32)  # cast once, not on every product
-    B = np.zeros((n, n), dtype=np.float32)  # entries at most n, sums of Y @ B at most n^2
+    k = R.sum(axis=1).astype(dt)
+    R = R.astype(np.float32)  # cast once, not on every product
+    Tm = T.reshape(n, n * n)
     best = 0
     bx = by = 0
-    x = 0
-    kx = 0
-    for i in range(1, 1 << n):  # X = {} scores 0 and never improves on it
-        v = _ctz(i)
-        sign = -1 if (x >> v) & 1 else 1
-        x ^= 1 << v
-        kx += sign
-        B += sign * T[v]
-        s = np.minimum(0, int_matmul(Y, B).astype(dt) * q - (p * kx) * ky[:, None]).sum(axis=1)
+    lo = 0
+    while lo < N:
+        hi = min(N, lo + max(1, CELLS // max(n * (N - lo), 1)))
+        B = (R[lo:hi] @ Tm).reshape(hi - lo, n, n)  # float32, entries at most n
+        m = int_matmul(R[lo:], B).astype(dt, copy=False)  # sums at most n^2
+        m *= q
+        m -= (p * k[lo:hi, None] * k[None, lo:])[:, :, None]
+        s = np.minimum(m, 0, out=m).sum(axis=2)
         t = int(np.argmin(s))
-        if s[t] < best:
-            best = int(s[t])
-            bx = x
-            by = int(ygray[t])
+        if s.flat[t] < best:
+            best = int(s.flat[t])
+            r, c = divmod(t, N - lo)
+            bx = int(gray[lo + r])
+            by = int(gray[lo + c])
+        lo = hi
     return best, bx, by
 
 

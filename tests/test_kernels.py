@@ -26,14 +26,18 @@ from tightcycles import _pykernels, constructions as cons, density as dn
 from tightcycles.hypercore import from_edges, verify_tight_cycle
 
 DENSITIES = [Fraction(1, 4), Fraction(3, 10), Fraction(1, 2), Fraction(1)]
+# p/q whose margins reach far into int64, and one past it (``object``)
+WIDE = [Fraction(333333333, 10**9), Fraction(2**61, 2**62 + 1)]
 HOST_P = [0.3, 0.5, 0.8]
 
 
 def _hosts(n, seed):
+    if n < 3:
+        return [cons.empty(n)]
     return [cons.random(n, hp, seed + n) for hp in HOST_P]
 
 
-@pytest.mark.parametrize("n", range(3, 15))
+@pytest.mark.parametrize("n", range(0, 15))
 def test_ev_matches_gray_walk(n):
     for H in _hosts(n, 500):
         T = H.edge_tensor()
@@ -43,15 +47,16 @@ def test_ev_matches_gray_walk(n):
             assert _pykernels.ev_exact(T, p, q) == want, (n, d)
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("split", [0, 1, 4, 7, 64])
 @pytest.mark.parametrize("n", [6, 9])
-def test_ev_matches_gray_walk_across_blocks(monkeypatch, n, block):
-    """Many small blocks: the value and the first minimum survive every
-    block boundary."""
-    monkeypatch.setattr(_pykernels, "BLOCK", block)
+def test_ev_matches_gray_walk_across_blocks(monkeypatch, n, split):
+    """Every split of the Gray index, from no low bits (one table row) to
+    all of them (one high part): the value and the first minimum survive
+    the odd high parts' reversed tables."""
+    monkeypatch.setattr(_pykernels, "SPLIT", split)
     for H in _hosts(n, 600) + [cons.complete(n), cons.empty(n)]:
         T = H.edge_tensor()
-        for d in DENSITIES:
+        for d in DENSITIES + WIDE:
             p, q = d.numerator, d.denominator
             want = gray_ev_exact(n, *link_lists(H), p, q)
             assert _pykernels.ev_exact(T, p, q) == want
@@ -69,7 +74,7 @@ def test_ev_memory_is_bounded_by_the_block():
     assert peak < 2_000_000
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(0, 9))
 def test_vvv_matches_gray_walk(n):
     for H in _hosts(n, 700):
         T = H.edge_tensor()
@@ -77,6 +82,50 @@ def test_vvv_matches_gray_walk(n):
             p, q = d.numerator, d.denominator
             want = gray_vvv_exact(n, *link_lists(H), p, q)
             assert _pykernels.vvv_exact(T, p, q) == want, (n, d)
+
+
+# 1 margin: one X row per block.  1000: 1-2 rows in the first blocks and
+# more, of sizes that divide nothing, as the Y range shrinks.  10^9: one
+# block of every X.
+@pytest.mark.parametrize("cells", [1, 1000, 10**9])
+@pytest.mark.parametrize("n", [5, 6])
+def test_vvv_matches_gray_walk_across_blocks(monkeypatch, n, cells):
+    monkeypatch.setattr(_pykernels, "CELLS", cells)
+    for H in _hosts(n, 650) + [cons.complete(n), cons.empty(n)]:
+        T = H.edge_tensor()
+        for d in DENSITIES + WIDE:
+            p, q = d.numerator, d.denominator
+            want = gray_vvv_exact(n, *link_lists(H), p, q)
+            assert _pykernels.vvv_exact(T, p, q) == want, (n, d)
+
+
+def test_vvv_memory_is_bounded_by_the_block():
+    T = cons.random(9, 0.5, 3).edge_tensor()
+    tracemalloc.start()
+    try:
+        _pykernels.vvv_exact(T, 3, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 2^9 x 2^9 x 9 int64 margins of every (X, Y, z) would take 19 MB
+    assert peak < 2_000_000
+
+
+# The ee walk runs over all 2^(n(n-1)) sets P, about 2 s a host at n = 5, so
+# ee is checked up to n = 4.
+
+
+@pytest.mark.parametrize("d", WIDE, ids=["int64", "object"])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_exact_kernels_match_gray_walks_at_wide_fractions(n, d):
+    p, q = d.numerator, d.denominator
+    assert _pykernels._wide(p, q, n) is (np.int64 if d == WIDE[0] else object)
+    for H in _hosts(n, 1100):
+        T = H.edge_tensor()
+        assert _pykernels.ev_exact(T, p, q) == gray_ev_exact(n, *link_lists(H), p, q)
+        assert _pykernels.vvv_exact(T, p, q) == gray_vvv_exact(n, *link_lists(H), p, q)
+        if n <= 4:
+            assert _ee_checked(H, d) == gray_ee_exact(n, H.nbr_flat(), p, q)[0]
 
 
 def test_float32_products_are_exact_up_to_2_to_the_24():
@@ -113,8 +162,7 @@ def _ee_checked(H, d):
 
 @pytest.mark.parametrize("n", range(0, 5))
 def test_ee_matches_gray_walk(n):
-    hosts = _hosts(n, 800) if n >= 3 else [cons.empty(n)]
-    for H in hosts:
+    for H in _hosts(n, 800):
         for d in DENSITIES:
             p, q = d.numerator, d.denominator
             assert _ee_checked(H, d) == gray_ee_exact(n, H.nbr_flat(), p, q)[0]
@@ -197,11 +245,30 @@ def _benchmark_workloads():
 
 
 WORKLOADS = _benchmark_workloads()
-DP_SLOTS = [
-    slot
-    for slot in json.loads(WORKLOADS.REFERENCE.read_text())["slots"]
-    if slot["call"] in ("has_tight_hamilton", "extract_tight_hamilton")
-]
+SLOTS = json.loads(WORKLOADS.REFERENCE.read_text())["slots"]
+DP_SLOTS = [s for s in SLOTS if s["call"] in ("has_tight_hamilton", "extract_tight_hamilton")]
+DEVIATION_SLOTS = [s for s in SLOTS if s["call"] in ("ev_deviation", "vvv_deviation")]
+DEVIATION_KERNELS = {
+    "ev_deviation": (_pykernels.ev_exact, gray_ev_exact),
+    "vvv_deviation": (_pykernels.vvv_exact, gray_vvv_exact),
+}
+
+
+@pytest.mark.parametrize("slot", DEVIATION_SLOTS, ids=lambda slot: slot["slot"])
+def test_deviation_kernels_match_gray_walks_on_benchmark_hosts(slot):
+    """The value and the masks of every ev and vvv host of the benchmark
+    table, and the value the table stores.  vvv9 takes its first 3 hosts:
+    its Gray walk costs about 0.6 s a host."""
+    kernel, gray = DEVIATION_KERNELS[slot["call"]]
+    d = Fraction(slot["d"])
+    p, q = d.numerator, d.denominator
+    entries = slot["entries"][:3] if slot["slot"] == "vvv9" else slot["entries"]
+    assert len(entries) > 0
+    for entry in entries:
+        H = WORKLOADS.host_from_hex(slot["n"], entry["edges"])
+        got = kernel(H.edge_tensor(), p, q)
+        assert got == gray(slot["n"], *link_lists(H), p, q)
+        assert Fraction(got[0], q) == Fraction(*entry["raw"])
 
 # random(n, p, seed) hosts whose first root finds no cycle and a later one
 # does, so the kernel reaches its union run and reruns an admitted root
