@@ -111,10 +111,6 @@ def test_vvv_memory_is_bounded_by_the_block():
     assert peak < 2_000_000
 
 
-# The ee walk runs over all 2^(n(n-1)) sets P, about 2 s a host at n = 5, so
-# ee is checked up to n = 4.
-
-
 @pytest.mark.parametrize("d", WIDE, ids=["int64", "object"])
 @pytest.mark.parametrize("n", range(3, 8))
 def test_exact_kernels_match_gray_walks_at_wide_fractions(n, d):
@@ -124,7 +120,7 @@ def test_exact_kernels_match_gray_walks_at_wide_fractions(n, d):
         T = H.edge_tensor()
         assert _pykernels.ev_exact(T, p, q) == gray_ev_exact(n, *link_lists(H), p, q)
         assert _pykernels.vvv_exact(T, p, q) == gray_vvv_exact(n, *link_lists(H), p, q)
-        if n <= 4:
+        if n <= 4:  # the ee walk runs over all 2^(n(n-1)) sets P, 2 s a host at n = 5
             assert _ee_checked(H, d) == gray_ee_exact(n, H.nbr_flat(), p, q)[0]
 
 
@@ -269,6 +265,7 @@ def test_deviation_kernels_match_gray_walks_on_benchmark_hosts(slot):
         got = kernel(H.edge_tensor(), p, q)
         assert got == gray(slot["n"], *link_lists(H), p, q)
         assert Fraction(got[0], q) == Fraction(*entry["raw"])
+
 
 # random(n, p, seed) hosts whose first root finds no cycle and a later one
 # does, so the kernel reaches its union run and reruns an admitted root
