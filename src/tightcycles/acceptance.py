@@ -300,9 +300,7 @@ def _fixture_absorber():
         links=tuple(links),
         eligible=tuple(eligible),
     )
-    segments = [("kshort", 0, tuple(A.k_path_short()))]
-    for i in range(3):
-        segments.append(("link", (0, i), tuple(A.link_path(i))))
+    segments = [(0, k, piece) for k, piece in enumerate(A.pieces())]
     ap = hamilton.AbsorbingPath(segments=segments, absorbers=[A])
     return H, A, ap, u
 
@@ -454,6 +452,11 @@ ALL_CRITERIA = [
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
+    """Run the criteria in ``numbers`` (all of them when empty or None); a
+    number outside 1..len(ALL_CRITERIA) raises ValueError."""
+    bad = sorted(set(numbers or ()) - set(range(1, len(ALL_CRITERIA) + 1)))
+    if bad:
+        raise ValueError(f"criteria must lie in 1..{len(ALL_CRITERIA)}, not {bad}")
     out = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if numbers and i not in numbers:

@@ -195,10 +195,7 @@ def _dispatch(args) -> tuple[int, dict]:
         H, meta = _instance(args.file)
         fn = {"vvv": density.vvv_deviation, "ev": density.ev_deviation,
               "ee": density.ee_deviation}[args.notion]
-        from fractions import Fraction
-
-        dval = Fraction(args.d)
-        rep = fn(H, dval, mode=args.mode, samples=args.samples,
+        rep = fn(H, args.d, mode=args.mode, samples=args.samples,
                  seed=args.seed, restarts=args.restarts)
         return 0, {"instance": meta, "report": rep.to_dict()}
 

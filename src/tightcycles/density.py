@@ -65,15 +65,16 @@ _MODES = ("exact", "heuristic", "sampled")
 
 
 def as_density_fraction(d) -> Fraction:
-    """Snap a density parameter to an exact rational (denominator <= 1e9)."""
-    if isinstance(d, Fraction):
-        f = d
-    elif isinstance(d, str):
-        f = Fraction(d)
-    elif isinstance(d, int):
-        f = Fraction(d)
-    else:
-        f = Fraction(d).limit_denominator(10**9)
+    """Snap a density parameter to an exact rational (denominator <= 1e9).
+    A density that does not snap ('1/0', NaN, infinity) or lies outside
+    [0, 1] raises ValueError."""
+    try:
+        if isinstance(d, (Fraction, str, int)):
+            f = Fraction(d)
+        else:
+            f = Fraction(d).limit_denominator(10**9)
+    except (ArithmeticError, ValueError) as exc:
+        raise ValueError(f"density d={d!r} does not snap to a fraction") from exc
     if not 0 <= f <= 1:
         raise ValueError("density d must lie in [0, 1]")
     return f

@@ -336,22 +336,23 @@ class Absorber:
     def all_vertices(self) -> tuple:
         return self.K + tuple(v for link in self.links for v in link)
 
-    def k_path_full(self) -> list[int]:
-        return k333_path_orderings(self.K)[0]
-
-    def k_path_short(self) -> list[int]:
-        return k333_path_orderings(self.K)[1]
-
-    def link_path(self, i: int, middle: Optional[int] = None) -> list[int]:
-        a, b, c, d = self.links[i]
-        m = self.K[3 + i] if middle is None else middle
-        return [a, b, m, c, d]
+    def pieces(self, T: Optional[Sequence[int]] = None) -> list[tuple]:
+        """The four sub-paths in stitch order: the core's six-vertex
+        threading, then link path i through y_i for i = 0, 1, 2.  With a
+        triple T, ordered to the slots, the absorbed versions: the nine-vertex
+        threading, and link path i through T[i].  Both keep each piece's end
+        vertices."""
+        full, short = k333_path_orderings(self.K)
+        middles = self.K[3:6] if T is None else T
+        return [tuple(short if T is None else full)] + [
+            (a, b, m, c, d) for (a, b, c, d), m in zip(self.links, middles)
+        ]
 
 
 def is_absorber(H: Hypergraph3, A: Absorber, T: Sequence[int]) -> bool:
     """Exact check: 21 distinct vertices, T of three distinct vertices outside
-    A, and all defining orderings (the two core threadings plus both middle
-    variants of each link path) tight in H."""
+    A, and all eight defining sub-paths (the four pieces before and after
+    absorbing T) tight in H."""
     vs = A.all_vertices()
     if len(set(vs)) != 21:
         return False
@@ -360,16 +361,7 @@ def is_absorber(H: Hypergraph3, A: Absorber, T: Sequence[int]) -> bool:
         return False
     if any(not 0 <= v < H.n for v in vs + t):
         return False
-    if not verify_tight_path(H, A.k_path_full()):
-        return False
-    if not verify_tight_path(H, A.k_path_short()):
-        return False
-    for i in range(3):
-        if not verify_tight_path(H, A.link_path(i)):
-            return False
-        if not verify_tight_path(H, A.link_path(i, middle=t[i])):
-            return False
-    return True
+    return all(verify_tight_path(H, p) for p in A.pieces() + A.pieces(t))
 
 
 def find_absorber(
@@ -422,20 +414,15 @@ def find_absorber(
             used |= mask_of(best[1])
         if not ok:
             continue
-        own = mask_of(K) | mask_of(v for link in links for v in link)
-        eligibles = [e & ~own for e in eligibles]
+        eligibles = [e & ~used for e in eligibles]
         if any(e.bit_count() < min_eligibility for e in eligibles):
             continue
         A = Absorber(K=tuple(K), links=tuple(links), eligible=tuple(eligibles))
         probe = _eligible_probe(A)
         if probe is not None and is_absorber(H, A, probe):
             return A
-        # no joint eligible triple to probe with; accept on path identities
-        if probe is None and all(
-            verify_tight_path(H, A.link_path(i)) for i in range(3)
-        ) and verify_tight_path(H, A.k_path_full()) and verify_tight_path(
-            H, A.k_path_short()
-        ):
+        # no joint eligible triple to probe with; accept on the stitched pieces
+        if probe is None and all(verify_tight_path(H, p) for p in A.pieces()):
             return A
     return None
 
@@ -506,7 +493,9 @@ class AbsorbingPath:
     """A tight path stitched from absorber sub-paths, with enough
     structure to rewrite it."""
 
-    segments: list  # (kind, tag, vertex tuple); kind in conn|kshort|link
+    # (j, k, verts): piece k of absorber j as stitched, either way round, or
+    # (None, None, verts) for a connection's inner vertices
+    segments: list
     absorbers: list
 
     @property
@@ -559,44 +548,31 @@ def build_absorbing_path(
         trace["fail_stage"] = "absorber_shortage"
         return None
 
-    pieces: list[tuple] = []  # (kind, tag, verts)
-    for j, A in enumerate(absorbers):
-        pieces.append(("kshort", j, tuple(A.k_path_short())))
-        for i in range(3):
-            pieces.append(("link", (j, i), tuple(A.link_path(i))))
-
-    pieces_mask = 0
-    for _, _, verts in pieces:
-        pieces_mask |= mask_of(verts)
-    allowed_base = H.vertex_mask() & ~rmask & ~pieces_mask
-
+    pieces = [(j, k, p) for j, A in enumerate(absorbers) for k, p in enumerate(A.pieces())]
+    # forbidden holds the reservoir and exactly the pieces' vertices
+    allowed_base = H.vertex_mask() & ~forbidden
     segments: list[tuple] = [pieces[0]]
     used_conn = 0
-    for nxt in pieces[1:]:
-        prev_end = segments[-1][2][-2:]
-        attempt_orders = [nxt, (nxt[0], nxt[1], tuple(reversed(nxt[2])))]
-        conn = None
-        chosen = None
-        for cand in attempt_orders:
+    for j, k, verts in pieces[1:]:
+        for cand in (verts, verts[::-1]):
             conn = connect(
                 H,
-                prev_end,
-                cand[2][:2],
+                segments[-1][2][-2:],
+                cand[:2],
                 bits(allowed_base & ~used_conn),
                 seed=int(rng.integers(2**31)),
                 lengths=range(MAX_INNER + 1),
             )
             if conn is not None:
-                chosen = cand
                 break
-        if conn is None:
+        else:
             trace["fail_stage"] = "absorbing_connect"
             return None
         inner = conn.vertices[2:-2]
         used_conn |= mask_of(inner)
         if inner:
-            segments.append(("conn", None, tuple(inner)))
-        segments.append(chosen)
+            segments.append((None, None, inner))
+        segments.append((j, k, cand))
 
     ap = AbsorbingPath(segments=segments, absorbers=absorbers)
     seq = ap.vertex_sequence()
@@ -680,18 +656,17 @@ def absorb(
         trace.update({"fail_stage": "matching", "matched": matched})
         return None
 
-    new_segments = []
-    for kind, tag, verts in A.segments:
-        if kind == "kshort" and tag in match:
-            new_segments.append((kind, tag, tuple(A.absorbers[tag].k_path_full())))
-        elif kind == "link" and tag[0] in match:
-            j, i = tag
-            ti, perm = match[j]
-            middle = triples[ti][perm[i]]
-            new_segments.append((kind, tag, tuple(A.absorbers[j].link_path(i, middle))))
-        else:
-            new_segments.append((kind, tag, verts))
-    seq = tuple(v for _, _, verts in new_segments for v in verts)
+    # a matched absorber's pieces are rewritten in the orientation stitched
+    absorbed = {
+        j: A.absorbers[j].pieces([triples[ti][i] for i in perm])
+        for j, (ti, perm) in match.items()
+    }
+    seq: tuple = ()
+    for j, k, verts in A.segments:
+        if j in absorbed:
+            new = absorbed[j][k]
+            verts = new if new[0] == verts[0] else new[::-1]
+        seq += verts
     old = A.vertex_sequence()
     if seq[:2] != old[:2] or seq[-2:] != old[-2:] or not verify_tight_path(H, seq):
         raise UncertifiedResult("absorption produced an uncertified path")

@@ -691,12 +691,15 @@ def find_absorber_reference(
         probe = _eligible_probe(A)
         if probe is not None and is_absorber(H, A, probe):
             return A
-        # no joint eligible triple to probe with; accept on path identities
+        # no joint eligible triple to probe with; accept on path identities:
+        # each link path through its middle, and both core threadings
+        x1, x2, x3, y1, y2, y3, z1, z2, z3 = A.K
         if probe is None and all(
-            verify_tight_path(H, A.link_path(i)) for i in range(3)
-        ) and verify_tight_path(H, A.k_path_full()) and verify_tight_path(
-            H, A.k_path_short()
-        ):
+            verify_tight_path(H, [a, b, A.K[3 + i], c, d])
+            for i, (a, b, c, d) in enumerate(A.links)
+        ) and verify_tight_path(
+            H, [x1, x2, x3, y1, y2, y3, z1, z2, z3]
+        ) and verify_tight_path(H, [x1, x2, x3, z1, z2, z3]):
             return A
     return None
 

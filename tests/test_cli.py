@@ -62,6 +62,17 @@ def test_hamilton_find_success(tmp_path, capsys):
     assert sorted(cyc) == list(range(30))
 
 
+def test_hamilton_find_with_a_reversed_absorber_piece(tmp_path, capsys):
+    out = tmp_path / "r60.h3"
+    run(capsys, "gen", "--family", "random", "--n", "60", "--p", "0.6",
+        "--seed", "31", "-o", str(out))
+    code, stdout, _ = run(
+        capsys, "hamilton", "find", "--seed", "31", "--retries", "2", str(out)
+    )
+    assert code == 0
+    assert sorted(json.loads(stdout)["result"]["cycle"]) == list(range(60))
+
+
 def test_density_budget_error_is_exit_3(tmp_path, capsys):
     out = tmp_path / "k25.h3"
     run(capsys, "gen", "--family", "complete", "--n", "25", "-o", str(out))
@@ -475,3 +486,56 @@ def test_timings_ignore_wall_clock_steps(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "gen", "--family", "complete", "--n", "5",
                           "-o", str(tmp_path / "k5.h3"))
     assert code == 0 and 0 <= json.loads(stdout)["timings"]["total"] < 60
+
+
+def test_bench_one_criterion(capsys):
+    code, stdout, _ = run(capsys, "bench", "--criteria", "8")
+    assert code == 0
+    rows = json.loads(stdout)["result"]["criteria"]
+    assert [row["criterion"] for row in rows] == [8] and rows[0]["passed"]
+
+
+# the documented code of each edge input; none of them is an internal error
+EDGE_INPUTS = [
+    *[
+        (f"{argv} {{{host}}}", code)
+        for host in ("empty", "one")
+        for argv, code in [
+            ("density --notion ev --d 1/2 --mode exact", 0),
+            ("density --notion vvv --d 1/2 --mode exact", 0),
+            ("density --notion ee --d 1/2 --mode exact", 0),
+            ("density --notion ev --d 1/2 --mode sampled --samples 50", 0),
+            ("motifs --count k4minus", 0),
+            ("motifs --count cherries", 0),
+            ("motifs --find k333", 1),
+            ("motifs --find c8", 1),
+            ("hamilton cover", 0),
+        ]
+    ],
+    ("motifs --find k333 --avoid -1 {k12}", 3),
+    ("motifs --find c8 --avoid -1 {k12}", 3),
+    ("hamilton connect --from 0,1 --to 2,3 --allowed -1 {k12}", 3),
+    ("hamilton connect --from 0,1 --to 2,3 --lengths -1 {k12}", 3),
+    ("gen --family complete --n -1 -o {out}", 3),
+    ("gen --family random --n -1 -o {out}", 3),
+    ("gen --family tight_cycle --n 4 -o {out}", 3),
+    ("gen --family example1 --n 4 -o {out}", 3),
+    ("gen --family hp --n 4 -o {out}", 3),
+    ("density --notion ev --d 1/0 --mode exact {k12}", 3),
+    ("density --notion ev --d nan --mode exact {k12}", 3),
+    ("bench --criteria 99", 3),
+    ("bench --criteria 0", 3),
+    ("bench --criteria 8,12", 3),
+]
+
+
+@pytest.mark.parametrize("argv,expected", EDGE_INPUTS, ids=[a for a, _ in EDGE_INPUTS])
+def test_edge_inputs_exit_with_their_documented_code(tmp_path, capsys, argv, expected):
+    files = {name: str(tmp_path / f"{name}.h3") for name in ("empty", "one", "k12", "out")}
+    Path(files["empty"]).write_text("0 0\n")
+    Path(files["one"]).write_text("3 1\n0 1 2\n")
+    run(capsys, "gen", "--family", "complete", "--n", "12", "-o", files["k12"])
+    code, _, err = run(capsys, *shlex.split(argv.format(**files)))
+    assert code == expected
+    if code >= 2:
+        assert "traceback" not in json.loads(err)

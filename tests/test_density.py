@@ -409,3 +409,12 @@ def test_complete_host_breaks_literal_hierarchy():
     d = Fraction(1, 5)
     assert frac(dn.ee_deviation(H, d, "exact")) == 0
     assert frac(dn.ev_deviation(H, d, "exact")) < 0
+
+
+@pytest.mark.parametrize("d", ["1/0", "0/0", "half", float("inf"), float("nan")])
+def test_density_that_does_not_snap_is_a_value_error(d):
+    with pytest.raises(ValueError, match="does not snap"):
+        dn.as_density_fraction(d)
+    with pytest.raises(ValueError, match="does not snap"):
+        dn.ev_deviation(cons.complete(6), d, mode="exact")
+

@@ -376,6 +376,80 @@ def test_absorb_rejects_overlapping_u():
         ham.absorb(H, ap, [inside])
 
 
+def test_pieces_keep_their_ends_when_absorbing():
+    H = cons.complete(30)
+    A = ham.find_absorber(H, seed=1)
+    T = tuple(v for v in range(30) if v not in A.all_vertices())[:3]
+    before, after = A.pieces(), A.pieces(T)
+    assert [len(p) for p in before] == [6, 5, 5, 5]
+    assert [len(p) for p in after] == [9, 5, 5, 5]
+    assert sorted(v for p in before for v in p) == sorted(A.all_vertices())
+    assert {v for p in after for v in p} == set(A.all_vertices()) | set(T)
+    assert [p[2] for p in before[1:]] == list(A.K[3:6])
+    assert [p[2] for p in after[1:]] == list(T)
+    assert all((p[0], p[-1]) == (q[0], q[-1]) for p, q in zip(before, after))
+
+
+def test_reversed_pieces_absorb_like_forward_ones(monkeypatch):
+    """Every join to an absorber piece's forward start pair is refused, so
+    each piece but the first is stitched reversed: each returned cycle still
+    covers the host and verifies, and absorption rewrites reversed pieces."""
+    real_find, real_build = ham.find_absorber, ham.build_absorbing_path
+    real_connect, real_absorb = ham.connect, ham.absorb
+    starts = set()  # forward start pairs of the pieces being stitched
+    absorbed = []
+
+    def find(*args, **kwargs):
+        A = real_find(*args, **kwargs)
+        if A is not None:
+            starts.update(p[:2] for p in A.pieces())
+        return A
+
+    def build(*args, **kwargs):
+        try:
+            return real_build(*args, **kwargs)
+        finally:
+            starts.clear()
+
+    def connect(H, from_pair, to_pair, *args, **kwargs):
+        if tuple(to_pair) in starts:
+            return None
+        return real_connect(H, from_pair, to_pair, *args, **kwargs)
+
+    def absorb(H, A, U, trace=None):
+        reversed_ = [
+            verts == A.absorbers[j].pieces()[k][::-1]
+            for j, k, verts in A.segments
+            if j is not None
+        ]
+        assert reversed_ == [False] + [True] * (len(reversed_) - 1)
+        out = real_absorb(H, A, U, trace)
+        if out is not None and U:
+            absorbed.append(len(U))
+        return out
+
+    monkeypatch.setattr(ham, "find_absorber", find)
+    monkeypatch.setattr(ham, "build_absorbing_path", build)
+    monkeypatch.setattr(ham, "connect", connect)
+    monkeypatch.setattr(ham, "absorb", absorb)
+    for s in range(10):
+        H = cons.random(40, 0.85, s)
+        cyc, _ = ham.find_tight_hamilton(H, ham.PipelineParams(seed=s))
+        if cyc is not None:
+            assert sorted(cyc.vertices) == list(range(40))
+            assert verify_tight_cycle(H, cyc.vertices)
+    assert absorbed
+
+
+def test_natural_reversed_piece_host_returns_a_cycle():
+    """A host whose absorbing path stitches a piece reversed without help."""
+    H = cons.random(60, 0.6, 31)
+    cyc, trace = ham.find_tight_hamilton(H, ham.PipelineParams(seed=31, retries=2))
+    assert cyc is not None and sorted(cyc.vertices) == list(range(60))
+    assert verify_tight_cycle(H, cyc.vertices)
+    assert trace["attempts"][-1]["absorbed"] > 0
+
+
 # -- inner-length preferences ---------------------------------------------------------
 
 
