@@ -692,14 +692,12 @@ def find_absorber_reference(
         if probe is not None and is_absorber(H, A, probe):
             return A
         # no joint eligible triple to probe with; accept on path identities:
-        # each link path through its middle, and both core threadings
-        x1, x2, x3, y1, y2, y3, z1, z2, z3 = A.K
+        # each link path a b y_i c d, the core threading x1 x2 x3 y1 y2 y3 z1
+        # z2 z3, and the same without the y's
         if probe is None and all(
             verify_tight_path(H, [a, b, A.K[3 + i], c, d])
             for i, (a, b, c, d) in enumerate(A.links)
-        ) and verify_tight_path(
-            H, [x1, x2, x3, y1, y2, y3, z1, z2, z3]
-        ) and verify_tight_path(H, [x1, x2, x3, z1, z2, z3]):
+        ) and verify_tight_path(H, A.K) and verify_tight_path(H, A.K[:3] + A.K[6:]):
             return A
     return None
 
