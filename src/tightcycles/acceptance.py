@@ -452,14 +452,11 @@ ALL_CRITERIA = [
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
-    """Run the criteria in ``numbers`` (all of them when empty or None); a
-    number outside 1..len(ALL_CRITERIA) raises ValueError."""
-    bad = sorted(set(numbers or ()) - set(range(1, len(ALL_CRITERIA) + 1)))
-    if bad:
-        raise ValueError(f"criteria must lie in 1..{len(ALL_CRITERIA)}, not {bad}")
-    out = []
-    for i, fn in enumerate(ALL_CRITERIA, start=1):
-        if numbers and i not in numbers:
-            continue
-        out.append(fn())
-    return out
+    """Run the criteria in ``numbers`` (all of them when None); an empty
+    selection, or a number outside 1..len(ALL_CRITERIA), raises ValueError."""
+    every = range(1, len(ALL_CRITERIA) + 1)
+    chosen = set(every if numbers is None else numbers)
+    bad = sorted(chosen.difference(every))
+    if bad or not chosen:
+        raise ValueError(f"criteria must name some of 1..{len(ALL_CRITERIA)}, not {bad}")
+    return [fn() for i, fn in zip(every, ALL_CRITERIA) if i in chosen]

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from . import _pykernels
 from ._pykernels import _wide
 from .errors import BudgetError, check_budget
-from .hypercore import Hypergraph3, mask_bools, mask_of, pair_counts
+from .hypercore import Hypergraph3, bits, checked_mask, mask_bools, mask_of, pair_counts
 
 __all__ = [
     "DeviationReport",
@@ -115,32 +116,23 @@ class DeviationReport:
 # -- exact recounts (witness -> value, integer arithmetic) -------------------
 
 
-def _check_range(H, **witness) -> None:
-    for name, part in witness.items():
-        vs = np.asarray(list(part))  # object dtype for ints beyond int64
-        if vs.size and not (vs.min() >= 0 and vs.max() < H.n):
-            raise ValueError(f"{name} has a vertex outside 0..{H.n - 1}")
-
-
 def ev_value(H: Hypergraph3, d, X: Iterable[int], P: Iterable[tuple[int, int]]) -> Fraction:
     """e(X, P) - d |X| |P| for a vertex set and an ordered pair collection."""
     d = as_density_fraction(d)
-    xs, pl = set(X), list(P)
-    _check_range(H, X=xs, P=pl)
-    xmask = mask_of(xs)
+    xmask, pl = checked_mask(H.n, X, "X"), list(P)
+    checked_mask(H.n, chain.from_iterable(pl), "P")
     e = sum((H.nbr_mask(y, z) & xmask).bit_count() for y, z in pl)
-    return e - d * len(xs) * len(pl)
+    return e - d * xmask.bit_count() * len(pl)
 
 
 def vvv_value(H, d, X, Y, Z) -> Fraction:
     """e(X, Y, Z) - d |X| |Y| |Z|, with e the sum over z in Z and x in X of
     |N(x, z) ∩ Y|."""
     d = as_density_fraction(d)
-    xs, ys, zs = set(X), set(Y), set(Z)
-    _check_range(H, X=xs, Y=ys, Z=zs)
-    ymask = mask_of(int(y) for y in ys)
-    e = sum((H.nbr_mask(x, z) & ymask).bit_count() for z in zs for x in xs)
-    return e - d * len(xs) * len(ys) * len(zs)
+    xmask, ymask, zmask = (checked_mask(H.n, S, name) for S, name in zip((X, Y, Z), "XYZ"))
+    xs = list(bits(xmask))
+    e = sum((H.nbr_mask(x, z) & ymask).bit_count() for z in bits(zmask) for x in xs)
+    return e - d * len(xs) * ymask.bit_count() * zmask.bit_count()
 
 
 def ee_value(H, d, P: Iterable[tuple[int, int]], Q: Iterable[tuple[int, int]]) -> Fraction:
@@ -148,15 +140,16 @@ def ee_value(H, d, P: Iterable[tuple[int, int]], Q: Iterable[tuple[int, int]]) -
     three distinct vertices."""
     d = as_density_fraction(d)
     P, Q = list(P), list(Q)
-    _check_range(H, P=P, Q=Q)
+    for S, name in zip((P, Q), "PQ"):
+        checked_mask(H.n, chain.from_iterable(S), name)
     psec: dict[int, int] = {}
     for x, y in P:
-        psec[y] = psec.get(y, 0) | (1 << x)
+        psec[y] = psec.get(y, 0) | (1 << int(x))
     e = 0
     k = 0
     for y, z in Q:
         xm = psec.get(y, 0)
-        k += (xm & ~(1 << z)).bit_count()
+        k += (xm & ~(1 << int(z))).bit_count()
         e += (xm & H.nbr_mask(y, z)).bit_count()
     return e - d * k
 

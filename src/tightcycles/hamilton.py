@@ -22,6 +22,7 @@ from .hypercore import (
     Hypergraph3,
     TightPath,
     bits,
+    checked_mask,
     mask_of,
     pair_key,
     pair_of,
@@ -69,14 +70,6 @@ def _check_fractions(beta: float, gamma: float) -> None:
     outside (0, 1) with ValueError."""
     if not 0 < beta < 1 or not 0 < gamma < 1:
         raise ValueError("beta and gamma must lie in (0, 1)")
-
-
-def _allowed_mask(H: Hypergraph3, allowed: Iterable[int]) -> int:
-    """The mask of ``allowed``; a vertex outside 0..n-1 raises ValueError."""
-    mask = mask_of(allowed)
-    if mask >> H.n:
-        raise ValueError(f"allowed vertices must lie in 0..{H.n - 1}")
-    return mask
 
 
 def cover_target(gamma: float, n: int) -> float:
@@ -143,17 +136,15 @@ def connect(
     ``UncertifiedResult``) but incomplete: None within budget does not
     certify absence.  ``lengths`` restricts the inner-vertex counts
     tried (default 1..max_inner, ascending).  A budget below 1, no inner
-    length in 0..max_inner left to try, or an allowed vertex outside
-    0..n-1 raises ``ValueError``.
+    length in 0..max_inner left to try, or an endpoint or allowed vertex
+    outside 0..n-1 raises ``ValueError``.
     """
-    x, y = from_pair
-    z, w = to_pair
-    if len({x, y, z, w}) != 4:
+    x, y = map(int, from_pair)  # floats are refused below
+    z, w = map(int, to_pair)
+    endmask = checked_mask(H.n, from_pair, "from_pair") | checked_mask(H.n, to_pair, "to_pair")
+    if endmask.bit_count() != 4:
         raise ValueError("endpoint vertices must be four distinct vertices")
-    if not all(0 <= v < H.n for v in (x, y, z, w)):
-        raise ValueError(f"endpoint vertices must lie in 0..{H.n - 1}")
-    endmask = mask_of((x, y, z, w))
-    allowed_mask = _allowed_mask(H, allowed) & ~endmask
+    allowed_mask = checked_mask(H.n, allowed, "allowed") & ~endmask
     if lengths is None:
         lengths = range(1, max_inner + 1)
     lengths = [l for l in lengths if 0 <= l <= max_inner]
@@ -264,7 +255,7 @@ def almost_cover(
     thr = beta * n
     min_len = max(4, ceil(thr))
     target = cover_target(gamma, n)
-    uncovered = H.vertex_mask() if allowed is None else _allowed_mask(H, allowed)
+    uncovered = H.vertex_mask() if allowed is None else checked_mask(n, allowed, "allowed")
     rng = np.random.Generator(np.random.PCG64(seed))
     paths: list[TightPath] = []
     while uncovered.bit_count() >= max(target, min_len):
@@ -378,9 +369,9 @@ def find_absorber(
     ``budget`` counts scored 4-tuples (a, b, c, d): each of the three slots
     scores at most ``budget // 3`` of them, in a shuffled order of its link
     pairs, and keeps the first best.  Absence within budget is a normal
-    outcome."""
+    outcome.  A forbidden vertex outside 0..n-1 raises ValueError."""
     n = H.n
-    fmask = mask_of(forbidden)
+    fmask = checked_mask(n, forbidden, "forbidden")
     per_slot = budget // 3
     rng = np.random.Generator(np.random.PCG64(seed))
     for attempt in range(6):
@@ -521,10 +512,11 @@ def build_absorbing_path(
 ) -> Optional[AbsorbingPath]:
     """Collect disjoint absorbers avoiding the reservoir R and stitch their
     sub-paths into one tight path with inner connection vertices outside R.
-    Its facts, and on failure its ``fail_stage``, go into ``trace``."""
+    Its facts, and on failure its ``fail_stage``, go into ``trace``.  A
+    vertex of R outside 0..n-1 raises ValueError."""
     trace = {} if trace is None else trace
     n = H.n
-    rmask = mask_of(R)
+    rmask = checked_mask(n, R, "R")
     seed = params.seed if seed is None else seed
     rng = np.random.Generator(np.random.PCG64(seed))
     free = n - rmask.bit_count()
@@ -609,11 +601,12 @@ def absorb(
     A U whose size is not divisible by three is a divisibility failure.
     Otherwise U is split into triples and matched to unused absorbers on
     eligibility (all six slot assignments tried per pair).  Its facts, and on
-    failure its ``fail_stage``, go into ``trace``."""
+    failure its ``fail_stage``, go into ``trace``.  A vertex of U outside
+    0..n-1 or on the absorbing path raises ValueError."""
     trace = {} if trace is None else trace
-    u = sorted(set(int(v) for v in U))
-    pmask = A.vertex_mask()
-    if any((pmask >> v) & 1 for v in u):
+    umask = checked_mask(H.n, U, "U")
+    u = list(bits(umask))
+    if umask & A.vertex_mask():
         raise ValueError("U must be disjoint from the absorbing path")
     if not u:
         return A.path

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import index
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "write_h3",
     "bits",
     "mask_of",
+    "checked_mask",
     "mask_bools",
     "pair_key",
     "pair_of",
@@ -50,6 +52,22 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def checked_mask(n: int, vertices: Iterable[int], name: str) -> int:
+    """The bitmask of ``vertices``, each an int or a numpy integer (a float
+    raises TypeError).  A vertex outside 0..n-1 raises ValueError naming
+    ``name``: the one range check behind every public vertex argument."""
+    mask = 0
+    for v in vertices:
+        try:
+            mask |= 1 << index(v)
+        except ValueError:  # a negative shift count: v is below 0
+            mask = -1
+            break
+    if mask >> n:
+        raise ValueError(f"{name} must lie in 0..{n - 1}")
+    return mask
 
 
 def mask_bools(mask: int, n: int) -> np.ndarray:
@@ -161,9 +179,8 @@ class Hypergraph3:
         the n masks N(v, a): row a keeps its bits b > a, and the cells (a, b)
         in row-major order are the link in edge order, because dropping v
         from lexicographically sorted triples keeps their order."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         n = self.n
+        checked_mask(n, (v,), "v")
         rows = [m & (-2 << a) for a, m in enumerate(self._pair_nbr[v * n : (v + 1) * n])]
         pairs = np.stack(np.divmod(np.flatnonzero(_mask_rows(rows, n)), n), axis=1)
         pairs.setflags(write=False)
@@ -267,17 +284,13 @@ def from_triple_array(n: int, arr: np.ndarray) -> Hypergraph3:
 
 
 def degree(H: Hypergraph3, v: int) -> int:
-    if not 0 <= v < H.n:
-        raise ValueError(f"vertex {v} outside 0..{H.n - 1}")
+    checked_mask(H.n, (v,), "v")
     return int(H._deg[v])
 
 
 def codegree(H: Hypergraph3, u: int, v: int) -> int:
-    if u == v:
+    if (checked_mask(H.n, (u,), "u") | checked_mask(H.n, (v,), "v")).bit_count() != 2:
         raise ValueError("codegree requires two distinct vertices")
-    for x in (u, v):
-        if not 0 <= x < H.n:
-            raise ValueError(f"vertex {x} outside 0..{H.n - 1}")
     return H.nbr_mask(u, v).bit_count()
 
 

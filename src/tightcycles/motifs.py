@@ -21,6 +21,7 @@ from .hypercore import (
     Hypergraph3,
     TightPath,
     bits,
+    checked_mask,
     degree,
     mask_of,
     pair_key,
@@ -348,10 +349,11 @@ def find_k333(
 ) -> Optional[tuple]:
     """A labelled complete 3-partite gadget (x1,x2,x3,y1,y2,y3,z1,z2,z3) with
     parts {x_i,y_i,z_i}, disjoint from ``avoid``; grown from a seed edge by
-    common-neighbourhood intersections.  Absence within budget is normal."""
+    common-neighbourhood intersections.  Absence within budget is normal.  An
+    avoided vertex outside 0..n-1 raises ValueError."""
     check_budget("tries", tries)
     n = H.n
-    avoid_mask = mask_of(avoid)
+    avoid_mask = checked_mask(n, avoid, "avoid")
     allowed = H.vertex_mask() & ~avoid_mask
     if allowed.bit_count() < 9 or H.m == 0:
         return None
@@ -436,9 +438,10 @@ def find_c8(
     H: Hypergraph3, budget: int = 50000, avoid: Iterable[int] = ()
 ) -> Optional[TightPath]:
     """Backtrack for a tight cycle on 8 vertices (rooted at its minimum
-    vertex, direction canonicalised) outside ``avoid``."""
+    vertex, direction canonicalised) outside ``avoid``.  An avoided vertex
+    outside 0..n-1 raises ValueError."""
     check_budget("budget", budget)
-    allowed = H.vertex_mask() & ~mask_of(avoid)
+    allowed = H.vertex_mask() & ~checked_mask(H.n, avoid, "avoid")
     if allowed.bit_count() < 8:
         return None
     budget_left = [budget]
@@ -493,14 +496,14 @@ def find_c8_blowup(
 
     ``budget`` counts node expansions for each of the (at most two) seeds;
     the 8-cycle search gets ``max(budget // 4, 1000)`` of its own, so the
-    worst case is ``max(budget // 4, 1000) + 2 * budget`` nodes."""
+    worst case is ``max(budget // 4, 1000) + 2 * budget`` nodes.  An avoided
+    vertex outside 0..n-1 raises ValueError."""
     check_budget("budget", budget)
-    avoid = list(avoid)
-    avoid_mask = mask_of(avoid)
+    avoid_mask = checked_mask(H.n, avoid, "avoid")
     if H.n - avoid_mask.bit_count() < 8 * t:
         return None
     seeds: list[list[list[int]]] = []
-    c8 = find_c8(H, budget=max(budget // 4, 1000), avoid=avoid)
+    c8 = find_c8(H, budget=max(budget // 4, 1000), avoid=bits(avoid_mask))
     if c8 is not None:
         seeds.append([[v] for v in c8.vertices])
     gadget = _find_double_apex_gadget(H, seed, avoid_mask=avoid_mask)

@@ -12,7 +12,7 @@ import numpy as np
 from . import _pykernels
 from .density import as_density_fraction
 from .errors import BudgetError, UncertifiedResult
-from .hypercore import Hypergraph3, TightPath, bits, min_degree, verify_tight_cycle
+from .hypercore import Hypergraph3, TightPath, bits, checked_mask, min_degree, verify_tight_cycle
 
 __all__ = [
     "DP_MAX_N",
@@ -108,13 +108,11 @@ def count_paths_between(
         raise BudgetError(f"path-count budget exceeded (n={H.n} > {PATHS_MAX_N})")
     x, y = from_pair
     z, w = to_pair
-    if len({x, y, z, w}) != 4:
+    endmask = checked_mask(H.n, from_pair, "from_pair") | checked_mask(H.n, to_pair, "to_pair")
+    if endmask.bit_count() != 4:
         raise ValueError("endpoint vertices must be distinct")
-    if not all(0 <= v < H.n for v in (x, y, z, w)):
-        raise ValueError(f"endpoint vertices must lie in 0..{H.n - 1}")
     if inner < 0:
         raise ValueError("inner must be nonnegative")
-    endmask = (1 << x) | (1 << y) | (1 << z) | (1 << w)
     full = H.vertex_mask()
 
     def rec(u: int, v: int, used: int, left: int) -> int:

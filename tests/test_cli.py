@@ -371,7 +371,7 @@ def test_connect_allowed_outside_host_is_exit_3(tmp_path, capsys):
                                str(out))
     assert code == 3 and stdout == ""
     diag = json.loads(stderr)
-    assert (diag["error"], diag["message"]) == ("ValueError", "allowed vertices must lie in 0..9")
+    assert (diag["error"], diag["message"]) == ("ValueError", "allowed must lie in 0..9")
 
 
 def test_readme_commands_parse():
@@ -512,8 +512,11 @@ EDGE_INPUTS = [
             ("hamilton cover", 0),
         ]
     ],
-    ("motifs --find k333 --avoid -1 {k12}", 3),
-    ("motifs --find c8 --avoid -1 {k12}", 3),
+    *[
+        (f"motifs --find {motif} --avoid {bad} {{k12}}", 3)
+        for motif in ("k333", "c8", "c84")
+        for bad in (-1, 99)
+    ],
     ("hamilton connect --from 0,1 --to 2,3 --allowed -1 {k12}", 3),
     ("hamilton connect --from 0,1 --to 2,3 --lengths -1 {k12}", 3),
     ("gen --family complete --n -1 -o {out}", 3),
@@ -526,7 +529,11 @@ EDGE_INPUTS = [
     ("bench --criteria 99", 3),
     ("bench --criteria 0", 3),
     ("bench --criteria 8,12", 3),
+    ("bench --criteria ,", 3),
 ]
+
+# the option a precondition diagnostic must name, where the input has one
+NAMED = {"--avoid": "avoid must lie in 0..11", "--criteria": "criteria must name some of 1..11"}
 
 
 @pytest.mark.parametrize("argv,expected", EDGE_INPUTS, ids=[a for a, _ in EDGE_INPUTS])
@@ -539,3 +546,6 @@ def test_edge_inputs_exit_with_their_documented_code(tmp_path, capsys, argv, exp
     assert code == expected
     if code >= 2:
         assert "traceback" not in json.loads(err)
+    for option, message in NAMED.items():
+        if option in argv:
+            assert message in json.loads(err)["message"]
