@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import ceil
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -23,9 +23,8 @@ from .hypercore import (
     TightPath,
     bits,
     checked_mask,
+    link_keys,
     mask_of,
-    pair_key,
-    pair_of,
     verify_tight_cycle,
     verify_tight_path,
 )
@@ -63,6 +62,7 @@ __all__ = [
 MAX_INNER = 15  # inner vertices a connection may use
 CONNECT_BUDGET = 30000  # expansions per connection; see connect
 K333_TRIES = 400  # core seeds per absorber attempt; see find_k333
+COVER_ATTEMPTS = 12  # seed pairs each almost-cover path may try; see _grow_path
 
 
 def _check_fractions(beta: float, gamma: float) -> None:
@@ -240,7 +240,6 @@ def almost_cover(
     gamma: float,
     seed: int = 0,
     allowed: Optional[Iterable[int]] = None,
-    attempts: int = 12,
 ) -> tuple[list[TightPath], set]:
     """Vertex-disjoint tight paths with connectable end pairs covering all but
     (ideally) gamma^2 * n of the allowed vertices.
@@ -259,10 +258,10 @@ def almost_cover(
     rng = np.random.Generator(np.random.PCG64(seed))
     paths: list[TightPath] = []
     while uncovered.bit_count() >= max(target, min_len):
-        masks = _cleaned_masks(H, thr, allowed_mask=uncovered)
-        if not masks:
+        masks = _cleaned_masks(H, thr, uncovered)
+        if not any(masks):
             break
-        seq = _grow_path(H, masks, min_len, rng, attempts)
+        seq = _grow_path(H, masks, min_len, rng, COVER_ATTEMPTS)
         if seq is None:
             break
         if not verify_tight_path(H, seq):
@@ -273,11 +272,19 @@ def almost_cover(
 
 
 def _grow_path(H, masks, min_len, rng, attempts):
+    """A tight path of at least ``min_len`` vertices in the cleaned ``masks``
+    (host layout, not all 0), grown from a random pair {u, v}, u < v, and a
+    random third vertex; None after ``attempts`` paths that stay shorter."""
     n = H.n
-    keys = sorted(masks)
+    keys = [
+        u * n + v
+        for u in range(n)
+        for v, m in enumerate(masks[u * n + u + 1 : (u + 1) * n], u + 1)
+        if m
+    ]
     for _ in range(attempts):
         key = keys[int(rng.integers(len(keys)))]
-        u, v = pair_of(key, n)
+        u, v = divmod(key, n)
         wopts = list(bits(masks[key]))
         wpick = wopts[int(rng.integers(len(wopts)))]
         seq = [u, v, wpick]
@@ -304,12 +311,10 @@ def _grow_path(H, masks, min_len, rng, attempts):
 def _step(masks, u, v, used, n) -> Optional[int]:
     """The first unused w in N(u, v) whose pair (v, w) has the most unused
     neighbours, or None when N(u, v) has no unused vertex."""
-    cand = masks.get(pair_key(u, v, n), 0) & ~used
+    cand = masks[u * n + v] & ~used
     if not cand:
         return None
-    return max(
-        bits(cand), key=lambda w: (masks.get(pair_key(v, w, n), 0) & ~used).bit_count()
-    )
+    return max(bits(cand), key=lambda w: (masks[v * n + w] & ~used).bit_count())
 
 
 # -- absorbers -----------------------------------------------------------------------
@@ -387,16 +392,12 @@ def find_absorber(
         for i in range(3):
             yv = K[3 + i]
             avail = H.vertex_mask() & ~fmask & ~used
-            # the link of yv inside avail, in edge order (see link_pairs): the
-            # pairs (a, b) for each head a and each b in its tail, above a
-            heads = list(bits(avail))
-            tails = [H.nbr_mask(yv, a) & avail & (-2 << a) for a in heads]
-            ends = np.cumsum([t.bit_count() for t in tails], dtype=np.int64)
-            # a 1-D index array shuffles with the same draws as a list would
-            order = np.arange(ends[-1] if heads else 0)
-            rng.shuffle(order)
-            rows = _ranked_pairs(heads, tails, ends, order)
-            best = _best_link(H, yv, rows, avail, per_slot, n - 21)
+            # the link of yv inside avail, shuffled; a pair is built only when
+            # it is drawn, and a slot's budget rarely reaches past a few
+            keys = link_keys(H, yv, avail)
+            rng.shuffle(keys)
+            pairs = (divmod(k, n) for k in keys.tolist())
+            best = _best_link(H, yv, pairs, avail, per_slot, n - 21)
             if best is None or best[0] < min_eligibility:
                 ok = False
                 break
@@ -416,21 +417,6 @@ def find_absorber(
         if probe is None and all(verify_tight_path(H, p) for p in A.pieces()):
             return A
     return None
-
-
-def _ranked_pairs(heads, tails, ends, order) -> Iterator[tuple[int, int]]:
-    """The pairs at the ranks in ``order``, where ranks ends[j-1]..ends[j]-1
-    are (heads[j], b) for the set bits b of tails[j], ascending.  The ranks
-    are placed 64 at a time, and each pair is built only when it is drawn: a
-    slot's budget rarely reaches past the first."""
-    for s in range(0, len(order), 64):
-        ranks = order[s : s + 64]
-        js = np.searchsorted(ends, ranks, side="right")
-        for j, k in zip(js.tolist(), (ends[js] - ranks).tolist()):
-            tail = tails[j]
-            for _ in range(k - 1):  # drop the k - 1 highest bits
-                tail ^= 1 << (tail.bit_length() - 1)
-            yield heads[j], tail.bit_length() - 1
 
 
 def _best_link(H, yv, pairs, avail, budget, enough) -> Optional[tuple]:

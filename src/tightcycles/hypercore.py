@@ -34,8 +34,6 @@ __all__ = [
     "mask_of",
     "checked_mask",
     "mask_bools",
-    "pair_key",
-    "pair_of",
 ]
 
 
@@ -57,16 +55,14 @@ def mask_of(vertices: Iterable[int]) -> int:
 def checked_mask(n: int, vertices: Iterable[int], name: str) -> int:
     """The bitmask of ``vertices``, each an int or a numpy integer (a float
     raises TypeError).  A vertex outside 0..n-1 raises ValueError naming
-    ``name``: the one range check behind every public vertex argument."""
+    ``name``: the one range check behind every public vertex argument.  Each
+    vertex is checked before it is shifted, so a huge one costs nothing."""
     mask = 0
     for v in vertices:
-        try:
-            mask |= 1 << index(v)
-        except ValueError:  # a negative shift count: v is below 0
-            mask = -1
-            break
-    if mask >> n:
-        raise ValueError(f"{name} must lie in 0..{n - 1}")
+        v = index(v)
+        if not 0 <= v < n:
+            raise ValueError(f"{name} must lie in 0..{n - 1}")
+        mask |= 1 << v
     return mask
 
 
@@ -175,14 +171,9 @@ class Hypergraph3:
 
     def link_pairs(self, v: int) -> np.ndarray:
         """The link of ``v``: a read-only k x 2 int64 array of pairs {a, b},
-        a < b, with {v,a,b} an edge, in edge order.  Derived on each call from
-        the n masks N(v, a): row a keeps its bits b > a, and the cells (a, b)
-        in row-major order are the link in edge order, because dropping v
-        from lexicographically sorted triples keeps their order."""
-        n = self.n
-        checked_mask(n, (v,), "v")
-        rows = [m & (-2 << a) for a, m in enumerate(self._pair_nbr[v * n : (v + 1) * n])]
-        pairs = np.stack(np.divmod(np.flatnonzero(_mask_rows(rows, n)), n), axis=1)
+        a < b, with {v,a,b} an edge, in edge order (see :func:`link_keys`)."""
+        checked_mask(self.n, (v,), "v")
+        pairs = np.stack(np.divmod(link_keys(self, v, self.vertex_mask()), self.n), axis=1)
         pairs.setflags(write=False)
         return pairs
 
@@ -229,14 +220,21 @@ def pair_counts(T: np.ndarray, S) -> np.ndarray:
     return int_matmul(T, S[:, :, None]).reshape(n, n)
 
 
-def pair_key(u: int, v: int, n: int) -> int:
-    """The index key ``min*n + max`` of the unordered pair {u, v}."""
-    return u * n + v if u < v else v * n + u
+def link_keys(H: Hypergraph3, v: int, within: int) -> np.ndarray:
+    """The keys a*n+b, a < b, of the pairs {a, b} in the link of ``v`` with
+    both a and b in the vertex mask ``within``, in edge order, as an int64
+    array.  Unchecked: ``v`` must lie in 0..n-1.
 
-
-def pair_of(key: int, n: int) -> tuple[int, int]:
-    """The pair (u, v), u < v, behind an index key."""
-    return divmod(key, n)
+    One pass over the n masks N(v, a): row a keeps its bits b > a inside
+    ``within`` (none when a is outside it), and the cells (a, b) in row-major
+    order are the link in edge order, because dropping v from
+    lexicographically sorted triples keeps their order."""
+    n = H.n
+    rows = [
+        m & within & (-2 << a) if within >> a & 1 else 0
+        for a, m in enumerate(H._pair_nbr[v * n : (v + 1) * n])
+    ]
+    return np.flatnonzero(_mask_rows(rows, n))
 
 
 def _dedupe(n: int, arr: np.ndarray) -> np.ndarray:

@@ -23,9 +23,8 @@ from .hypercore import (
     bits,
     checked_mask,
     degree,
+    link_keys,
     mask_of,
-    pair_key,
-    pair_of,
     verify_tight_path,
 )
 
@@ -68,45 +67,47 @@ class CountReport:
 # -- cleaning and connectable pairs ------------------------------------------
 
 
-def _cleaned_masks(H: Hypergraph3, thr: float, allowed_mask: Optional[int] = None):
+def _cleaned_masks(H: Hypergraph3, thr: float, allowed_mask: int) -> list[int]:
     """Pair-neighbourhood masks after iteratively deleting every edge that
-    contains a pair of positive codegree below ``thr`` (restricted to
-    ``allowed_mask`` when given).  The fixed point is order-independent."""
+    contains a pair of positive codegree below ``thr``, inside the vertices
+    of ``allowed_mask``.  The fixed point is order-independent.  The masks
+    are in the host's layout (:meth:`Hypergraph3.nbr_flat`): a list of n*n
+    with the cleaned N(u, v) at both u*n+v and v*n+u, 0 elsewhere."""
     n = H.n
-    if allowed_mask is None:
-        allowed_mask = H.vertex_mask()
-    masks: dict[int, int] = {}
+    masks = [0] * (n * n)
+    queue = deque()
     for u, v, m in H.pair_masks():
         if (allowed_mask >> u) & 1 and (allowed_mask >> v) & 1:
-            mm = m & allowed_mask
-            if mm:
-                masks[pair_key(u, v, n)] = mm
-
-    queue = deque(k for k, m in masks.items() if 0 < m.bit_count() < thr)
+            m &= allowed_mask
+            masks[u * n + v] = masks[v * n + u] = m
+            if 0 < m.bit_count() < thr:
+                queue.append(u * n + v)
     while queue:
         key = queue.popleft()
-        m = masks.get(key, 0)
+        m = masks[key]
         if m == 0 or m.bit_count() >= thr:
             continue
-        u, v = pair_of(key, n)
-        masks[key] = 0
+        u, v = divmod(key, n)
+        masks[key] = masks[v * n + u] = 0
         for w in bits(m):
             for a, b in ((u, w), (v, w)):
-                k2 = pair_key(a, b, n)
                 third = (u + v + w) - a - b
-                m2 = masks.get(k2, 0)
+                m2 = masks[a * n + b]
                 if (m2 >> third) & 1:
                     m2 ^= 1 << third
-                    masks[k2] = m2
+                    masks[a * n + b] = masks[b * n + a] = m2
                     if 0 < m2.bit_count() < thr:
-                        queue.append(k2)
-    return {k: m for k, m in masks.items() if m}
+                        queue.append(a * n + b)
+    return masks
 
 
 def is_connectable(H: Hypergraph3, x: int, y: int, beta: float) -> bool:
     """Whether the ordered pair (x, y) is beta-connectable: at least beta*n
     vertices z in N(x, y) have codegree(y, z) >= beta*n.  Note the asymmetry.
-    Only the z in N(x, y) are looked up, one codegree each."""
+    Only the z in N(x, y) are looked up, one codegree each.  An x or y
+    outside 0..n-1 raises ValueError."""
+    checked_mask(H.n, (x,), "x")
+    checked_mask(H.n, (y,), "y")
     thr = beta * H.n
     hits = sum(
         1 for z in bits(H.nbr_mask(x, y)) if H.nbr_mask(y, z).bit_count() >= thr
@@ -531,21 +532,18 @@ def _find_double_apex_gadget(H: Hypergraph3, seed: int, tries: int = 300, avoid_
         if degree(H, a) == 0:
             continue
         x = int(rng.integers(n))
-        # the link of a restricted to ok_mask: u's neighbours are N(a, u)
         xnbr = H.nbr_mask(a, x) & ok_mask
         if x == a or not (ok_mask >> x) & 1 or not xnbr:
             continue
-        tri = []
-        for u in bits(xnbr):
-            for v in bits(xnbr & H.nbr_mask(a, u) >> (u + 1) << (u + 1)):
-                tri.append((u, v))
+        # the link of a inside N(a, x) & ok_mask, as keys y*n+z
+        tri = link_keys(H, a, xnbr).tolist()
         if len(tri) < 2:
             continue
         order = rng.permutation(len(tri))
         for ii in order.tolist()[:20]:
-            y, z = tri[ii]
+            y, z = divmod(tri[ii], n)
             for jj in order.tolist()[:20]:
-                yp, zp = tri[jj]
+                yp, zp = divmod(tri[jj], n)
                 for yy, zz in ((y, z), (z, y)):
                     for yy2, zz2 in ((yp, zp), (zp, yp)):
                         vs = (x, a, yy, zz, yy2, zz2)

@@ -10,6 +10,7 @@ Hamilton kernel that runs one full DP per root
 (:func:`tight_hamilton_cycle_reference`).
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -26,8 +27,6 @@ from tightcycles.hypercore import (
     from_edges,
     from_triple_array,
     mask_of,
-    pair_key,
-    pair_of,
     verify_tight_path,
 )
 from tightcycles.motifs import blowup_path_ordering, find_k333
@@ -132,6 +131,56 @@ def connectable_pairs(H: Hypergraph3, beta: float) -> frozenset:
         if (m & high[u]).bit_count() >= thr:
             out.append((v, u))
     return frozenset(out)
+
+
+def pair_key(u: int, v: int, n: int) -> int:
+    """The former index key ``min*n + max`` of the unordered pair {u, v}."""
+    return u * n + v if u < v else v * n + u
+
+
+def pair_of(key: int, n: int) -> tuple[int, int]:
+    """The pair (u, v), u < v, behind a former index key."""
+    return divmod(key, n)
+
+
+def cleaned_masks_reference(H: Hypergraph3, thr: float, allowed_mask=None):
+    """The former ``motifs._cleaned_masks``, verbatim: the cleaned pair
+    neighbourhoods as a dict keyed by ``pair_key``, nonzero masks only."""
+    n = H.n
+    if allowed_mask is None:
+        allowed_mask = H.vertex_mask()
+    masks: dict[int, int] = {}
+    for u, v, m in H.pair_masks():
+        if (allowed_mask >> u) & 1 and (allowed_mask >> v) & 1:
+            mm = m & allowed_mask
+            if mm:
+                masks[pair_key(u, v, n)] = mm
+
+    queue = deque(k for k, m in masks.items() if 0 < m.bit_count() < thr)
+    while queue:
+        key = queue.popleft()
+        m = masks.get(key, 0)
+        if m == 0 or m.bit_count() >= thr:
+            continue
+        u, v = pair_of(key, n)
+        masks[key] = 0
+        for w in bits(m):
+            for a, b in ((u, w), (v, w)):
+                k2 = pair_key(a, b, n)
+                third = (u + v + w) - a - b
+                m2 = masks.get(k2, 0)
+                if (m2 >> third) & 1:
+                    m2 ^= 1 << third
+                    masks[k2] = m2
+                    if 0 < m2.bit_count() < thr:
+                        queue.append(k2)
+    return {k: m for k, m in masks.items() if m}
+
+
+def flat_to_dict(n: int, masks) -> dict[int, int]:
+    """Masks in the host layout (N(u, v) at u*n+v and v*n+u) as the former
+    dict: the nonzero masks keyed by ``pair_key``."""
+    return {k: m for k, m in enumerate(masks) if m and k // n < k % n}
 
 
 def masks_to_hypergraph(n: int, masks: dict[int, int]) -> Hypergraph3:

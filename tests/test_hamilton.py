@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import find_absorber_reference, grow_path_reference
+from oracles import find_absorber_reference, flat_to_dict, grow_path_reference
 from tightcycles import constructions as cons
 from tightcycles import hamilton as ham
 from tightcycles import oracle as orc
@@ -198,10 +198,14 @@ def test_cover_growth_matches_reference(host, monkeypatch):
         monkeypatch.setattr(ham, "_grow_path", record)
         return ham.almost_cover(H, beta, gamma, seed=seed, allowed=allowed), seen
 
+    def reference(H_, masks, min_len, rng, attempts):
+        # the former growth read the cleaned masks as a dict keyed min*n+max
+        return grow_path_reference(H_, flat_to_dict(H_.n, masks), min_len, rng, attempts)
+
     library = ham._grow_path
     for seed in range(3):
         got, got_seen = cover(library, seed)
-        want, want_seen = cover(grow_path_reference, seed)
+        want, want_seen = cover(reference, seed)
         assert got == want
         assert got_seen == want_seen
 

@@ -29,8 +29,6 @@ from tightcycles.hypercore import (
     read_h3,
     verify_tight_cycle,
     verify_tight_path,
-    pair_key,
-    pair_of,
     write_h3,
 )
 
@@ -360,17 +358,6 @@ def test_has_edge_and_masks_match_raw_rows(H):
         {(u, v) for u in range(n) for v in range(u + 1, n) if H.nbr_mask(u, v)}
     )
     assert all(m == H.nbr_mask(u, v) for u, v, m in shadow)
-
-
-def test_pair_key_roundtrip():
-    n = 9
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            key = pair_key(u, v, n)
-            assert key == pair_key(v, u, n)
-            assert pair_of(key, n) == (min(u, v), max(u, v))
 
 
 @pytest.mark.parametrize(

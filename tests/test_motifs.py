@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    cleaned_masks_reference,
     connectable_pairs,
     count_cherries_reference,
+    flat_to_dict,
     grow_blowup_reference,
     masks_to_hypergraph,
     naive_cherry_count,
     naive_embedding_count,
     naive_k4minus_count,
+    pair_of,
 )
 from tightcycles import constructions as cons
 from tightcycles import hamilton as ham
@@ -33,7 +36,8 @@ from tightcycles.hypercore import (
 def clean(H, beta):
     """The subhypergraph that ``motifs._cleaned_masks`` leaves at threshold
     beta*n: every pair has codegree 0 or at least beta*n."""
-    return masks_to_hypergraph(H.n, mt._cleaned_masks(H, beta * H.n))
+    masks = mt._cleaned_masks(H, beta * H.n, H.vertex_mask())
+    return masks_to_hypergraph(H.n, flat_to_dict(H.n, masks))
 
 
 def test_clean_complete_unchanged():
@@ -65,6 +69,37 @@ def test_clean_idempotent_and_thresholds(seed, beta):
         for v in range(u + 1, 10):
             c = codegree(C, u, v)
             assert c == 0 or c >= thr
+
+
+# the pipeline workloads' host sizes (random hosts, n = 36..150), where
+# cleaning bites only inside small allowed sets, plus two sparser hosts where
+# it deletes some pairs of the whole vertex set
+CLEANING_HOSTS = {
+    f"random{n}": (lambda n=n, p=p: cons.random(n, p, n))
+    for n, p in ((36, 0.8), (46, 0.82), (56, 0.84), (66, 0.85), (76, 0.86), (86, 0.88),
+                 (96, 0.9), (120, 0.85), (150, 0.85))
+}
+CLEANING_HOSTS["example1_60"] = lambda: cons.example1(60, 1)
+CLEANING_HOSTS["random40_sparse"] = lambda: cons.random(40, 0.35, 2)
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.2, 0.35])
+@pytest.mark.parametrize("host", CLEANING_HOSTS)
+def test_cleaned_masks_match_reference_in_host_layout(host, beta):
+    # each cleaned N(u, v) of the former dict sits at both u*n+v and v*n+u,
+    # and every other entry is 0
+    H = CLEANING_HOSTS[host]()
+    n = H.n
+    rng = np.random.default_rng(n)
+    allowed_sets = [H.vertex_mask()] + [
+        mask_of(np.flatnonzero(rng.random(n) < frac).tolist()) for frac in (0.8, 0.5, 0.3)
+    ]
+    for allowed in allowed_sets:
+        want = [0] * (n * n)
+        for key, m in cleaned_masks_reference(H, beta * n, allowed).items():
+            u, v = pair_of(key, n)
+            want[u * n + v] = want[v * n + u] = m
+        assert mt._cleaned_masks(H, beta * n, allowed) == want
 
 
 # -- connectable pairs --------------------------------------------------------------

@@ -5,6 +5,7 @@ A vertex below 0 or at n and above raises ValueError with the message
 also from n = 64 on, where a numpy shift overflows.
 """
 
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -52,6 +53,8 @@ CASES = [
     ("find_k333", "avoid", 12, lambda H, x: mo.find_k333(H, avoid=[x], tries=10)),
     ("find_c8", "avoid", 12, lambda H, x: mo.find_c8(H, budget=1000, avoid=[x])),
     ("find_c8_blowup", "avoid", 12, lambda H, x: mo.find_c8_blowup(H, budget=1000, avoid=[x])),
+    ("is_connectable", "x", 12, lambda H, x: mo.is_connectable(H, x, 0, 0.05)),
+    ("is_connectable", "y", 12, lambda H, x: mo.is_connectable(H, 0, x, 0.05)),
     ("count_paths_between", "from_pair", 12, lambda H, x: orc.count_paths_between(H, (0, x), (2, 3), 1)),
     ("count_paths_between", "to_pair", 12, lambda H, x: orc.count_paths_between(H, (0, 1), (x, 3), 1)),
     ("ev_value", "X", 12, lambda H, x: dn.ev_value(H, "1/2", [0, x], [(1, 2)])),
@@ -101,3 +104,15 @@ def test_checked_mask():
     assert checked_mask(0, [], "S") == 0
     with pytest.raises(TypeError):
         checked_mask(5, [1.0], "S")
+
+
+def test_huge_vertex_is_refused_before_it_is_shifted():
+    # 1 << 10**8 would take 12.5 MB; the range check comes first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^avoid must lie in 0\.\.11$"):
+            checked_mask(12, [10**8], "avoid")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
