@@ -396,7 +396,7 @@ def find_absorber(
             # it is drawn, and a slot's budget rarely reaches past a few
             keys = link_keys(H, yv, avail)
             rng.shuffle(keys)
-            pairs = (divmod(k, n) for k in keys.tolist())
+            pairs = (divmod(int(k), n) for k in keys)
             best = _best_link(H, yv, pairs, avail, per_slot, n - 21)
             if best is None or best[0] < min_eligibility:
                 ok = False

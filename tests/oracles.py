@@ -185,7 +185,8 @@ def flat_to_dict(n: int, masks) -> dict[int, int]:
 
 def masks_to_hypergraph(n: int, masks: dict[int, int]) -> Hypergraph3:
     """The hypergraph whose pair neighbourhoods are ``masks``, keyed by the
-    pair key u*n+v (u < v), as ``motifs._cleaned_masks`` returns them."""
+    pair key u*n+v (u < v), as :func:`cleaned_masks_reference` and
+    :func:`flat_to_dict` return them."""
     triples = []
     for key, m in masks.items():
         u, v = pair_of(key, n)
