@@ -380,7 +380,7 @@ def criterion_10() -> CriterionResult:
         zero_counts = True
         for rp in red:
             for bp in blue:
-                conn = hamilton.connect(E, rp, bp, range(12), max_inner=15, seed=5)
+                conn = hamilton.connect(E, rp, bp, range(12), seed=5)
                 if conn is not None:
                     cross_ok = False
                 for inner in range(1, 6):

@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--d", required=True,
                    help="target density (decimal string or fraction, e.g. 0.25 or 1/4)")
     d.add_argument("--mode", required=True, choices=("exact", "heuristic", "sampled"))
-    d.add_argument("--samples", type=int, default=100000)
-    d.add_argument("--restarts", type=int, default=32)
+    d.add_argument("--samples", type=int, default=density.SAMPLES)
+    d.add_argument("--restarts", type=int, default=density.RESTARTS)
     d.add_argument("--seed", type=int, default=None)
     d.add_argument("file")
 
@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     hc_.add_argument("--from", dest="frm", type=_parse_pair, required=True)
     hc_.add_argument("--to", dest="to", type=_parse_pair, required=True)
     hc_.add_argument("--allowed", type=_parse_ints, default=None)
-    hc_.add_argument("--max-inner", type=int, default=hamilton.MAX_INNER)
     hc_.add_argument("--lengths", type=_parse_ints, default=None)
     hc_.add_argument("--budget", type=int, default=hamilton.CONNECT_BUDGET)
     hc_.add_argument("--seed", type=int, default=None)
@@ -263,9 +262,8 @@ def _dispatch_hamilton(args) -> tuple[int, dict]:
         allowed = args.allowed if args.allowed is not None else range(H.n)
         stats: dict = {}
         path = hamilton.connect(
-            H, args.frm, args.to, allowed, max_inner=args.max_inner,
-            budget=args.budget, seed=args.seed, lengths=args.lengths,
-            stats=stats,
+            H, args.frm, args.to, allowed, budget=args.budget, seed=args.seed,
+            lengths=args.lengths, stats=stats,
         )
         if path is not None:
             return 0, {"instance": meta, "path": list(path.vertices),

@@ -50,6 +50,8 @@ __all__ = [
     "EV_EXACT_MAX_N",
     "VVV_EXACT_MAX_N",
     "EE_EXACT_MAX_N",
+    "SAMPLES",
+    "RESTARTS",
     "ev_deviation",
     "vvv_deviation",
     "ee_deviation",
@@ -61,6 +63,8 @@ __all__ = [
 EV_EXACT_MAX_N = 24
 VVV_EXACT_MAX_N = 11
 EE_EXACT_MAX_N = 12
+SAMPLES = 100_000  # default sampled-mode budget of every deviation search
+RESTARTS = 32  # default heuristic and sampled restarts
 
 _MODES = ("exact", "heuristic", "sampled")
 
@@ -255,9 +259,9 @@ def ev_deviation(
     H: Hypergraph3,
     d,
     mode: str = "exact",
-    samples: int = 100_000,
+    samples: int = SAMPLES,
     seed: int = 0,
-    restarts: int = 32,
+    restarts: int = RESTARTS,
 ) -> DeviationReport:
     """Deviation over vertex sets X and ordered pair collections P.
 
@@ -290,7 +294,7 @@ def _packed(B) -> np.ndarray:
     return out
 
 
-def _ev_search(T, p, q, seed, restarts=32, budget=None):
+def _ev_search(T, p, q, seed, restarts=RESTARTS, budget=None):
     """Local search over X; returns (best X mask, proposals evaluated).
 
     The objective of X is s = 2 * sum over unordered pairs ab of
@@ -407,9 +411,9 @@ def vvv_deviation(
     H: Hypergraph3,
     d,
     mode: str = "exact",
-    samples: int = 100_000,
+    samples: int = SAMPLES,
     seed: int = 0,
-    restarts: int = 32,
+    restarts: int = RESTARTS,
 ) -> DeviationReport:
     """Deviation over vertex set triples (X, Y, Z).
 
@@ -475,9 +479,9 @@ def ee_deviation(
     H: Hypergraph3,
     d,
     mode: str = "exact",
-    samples: int = 100_000,
+    samples: int = SAMPLES,
     seed: int = 0,
-    restarts: int = 32,
+    restarts: int = RESTARTS,
 ) -> DeviationReport:
     """Deviation over two ordered pair collections sharing a middle vertex.
 

@@ -121,7 +121,6 @@ def connect(
     from_pair: tuple[int, int],
     to_pair: tuple[int, int],
     allowed: Iterable[int],
-    max_inner: int = MAX_INNER,
     budget: int = CONNECT_BUDGET,
     seed: int = 0,
     lengths: Optional[Sequence[int]] = None,
@@ -135,8 +134,8 @@ def connect(
     middle pair.  Sound (a result that fails re-verification raises
     ``UncertifiedResult``) but incomplete: None within budget does not
     certify absence.  ``lengths`` restricts the inner-vertex counts
-    tried (default 1..max_inner, ascending).  A budget below 1, no inner
-    length in 0..max_inner left to try, or an endpoint or allowed vertex
+    tried (default 1..MAX_INNER, ascending).  A budget below 1, no inner
+    length in 0..MAX_INNER left to try, or an endpoint or allowed vertex
     outside 0..n-1 raises ``ValueError``.
     """
     x, y = map(int, from_pair)  # floats are refused below
@@ -146,10 +145,10 @@ def connect(
         raise ValueError("endpoint vertices must be four distinct vertices")
     allowed_mask = checked_mask(H.n, allowed, "allowed") & ~endmask
     if lengths is None:
-        lengths = range(1, max_inner + 1)
-    lengths = [l for l in lengths if 0 <= l <= max_inner]
+        lengths = range(1, MAX_INNER + 1)
+    lengths = [l for l in lengths if 0 <= l <= MAX_INNER]
     if not lengths:
-        raise ValueError(f"no inner length in 0..{max_inner} to try")
+        raise ValueError(f"no inner length in 0..{MAX_INNER} to try")
     check_budget("budget", budget)
     stats = {} if stats is None else stats
     rng = np.random.Generator(np.random.PCG64(seed))

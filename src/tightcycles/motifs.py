@@ -497,9 +497,11 @@ def find_c8_blowup(
 
     ``budget`` counts node expansions for each of the (at most two) seeds;
     the 8-cycle search gets ``max(budget // 4, 1000)`` of its own, so the
-    worst case is ``max(budget // 4, 1000) + 2 * budget`` nodes.  An avoided
-    vertex outside 0..n-1 raises ValueError."""
+    worst case is ``max(budget // 4, 1000) + 2 * budget`` nodes.  A class
+    size t < 1 or an avoided vertex outside 0..n-1 raises ValueError."""
     check_budget("budget", budget)
+    if t < 1:
+        raise ValueError("class size t must be >= 1")
     avoid_mask = checked_mask(H.n, avoid, "avoid")
     if H.n - avoid_mask.bit_count() < 8 * t:
         return None

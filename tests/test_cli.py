@@ -108,7 +108,7 @@ def test_density_search_that_runs_nothing_is_exit_3(tmp_path, capsys, notion):
         ["motifs", "--find", "c84", "--budget", "0"],
         ["motifs", "--count", "k4minus", "--sampled", "--samples", "0"],
         ["hamilton", "connect", "--from", "0,1", "--to", "2,3", "--budget", "0"],
-        ["hamilton", "connect", "--from", "0,1", "--to", "2,3", "--max-inner", "0"],
+        ["hamilton", "connect", "--from", "0,1", "--to", "2,3", "--lengths", "16"],
         ["hamilton", "find", "--retries", "0"],
         ["hamilton", "find", "--retries", "-2"],
     ],
@@ -305,7 +305,15 @@ def test_hamilton_parser_defaults_are_the_library_defaults():
     )
     defaults = inspect.signature(cli.hamilton.connect).parameters
     assert connect.budget == defaults["budget"].default
-    assert connect.max_inner == defaults["max_inner"].default
+    # and the density search flags are every deviation search's defaults
+    dens = parser.parse_args(
+        ["density", "--notion", "ev", "--d", "1/4", "--mode", "sampled", "f.h3"]
+    )
+    for fn in (cli.density.ev_deviation, cli.density.vvv_deviation,
+               cli.density.ee_deviation):
+        defaults = inspect.signature(fn).parameters
+        assert dens.samples == defaults["samples"].default, fn.__name__
+        assert dens.restarts == defaults["restarts"].default, fn.__name__
 
 
 @pytest.mark.parametrize("flag", [False, True])

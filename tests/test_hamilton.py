@@ -16,7 +16,7 @@ from tightcycles.hypercore import from_edges, verify_tight_cycle, verify_tight_p
 
 def test_connect_complete_one_inner():
     H = cons.complete(10)
-    p = ham.connect(H, (0, 1), (2, 3), range(4, 10), max_inner=15, seed=0)
+    p = ham.connect(H, (0, 1), (2, 3), range(4, 10), seed=0)
     assert p is not None and len(p) == 5
     assert p.vertices[:2] == (0, 1) and p.vertices[-2:] == (2, 3)
 
@@ -42,7 +42,7 @@ def test_connect_cross_class_absent_and_confirmed():
     blue = next(
         tuple(p) for p in H.link_pairs(11).tolist() if not set(p) & set(red)
     )
-    assert ham.connect(H, red, blue, range(12), max_inner=15, seed=3) is None
+    assert ham.connect(H, red, blue, range(12), seed=3) is None
     for inner in range(1, 6):
         assert orc.count_paths_between(H, red, blue, inner) == 0
 
@@ -63,13 +63,12 @@ def test_connect_that_searches_nothing_is_refused():
     for budget in (0, -3):
         with pytest.raises(ValueError, match="budget"):
             ham.connect(H, (0, 1), (2, 3), range(12), budget=budget)
-    for kw in ({"max_inner": 0}, {"max_inner": -1}, {"lengths": []},
-               {"lengths": [16]}, {"lengths": [4], "max_inner": 3}):
+    for lengths in ([], [-1], [16], [-1, 16]):
         with pytest.raises(ValueError, match="inner length"):
-            ham.connect(H, (0, 1), (2, 3), range(12), **kw)
+            ham.connect(H, (0, 1), (2, 3), range(12), lengths=lengths)
     p = ham.connect(H, (0, 1), (2, 3), [], lengths=[0], budget=1)
     assert p is not None and p.vertices == (0, 1, 2, 3)
-    p = ham.connect(H, (0, 1), (2, 3), range(12), max_inner=1, budget=1)
+    p = ham.connect(H, (0, 1), (2, 3), range(12), lengths=[1], budget=1)
     assert p is not None and len(p) == 5
 
 
@@ -101,7 +100,7 @@ def test_connect_fuzz_respects_contract(seed):
     allowed = [v for v in range(16) if rng.random() < 0.6]
     p = ham.connect(
         H, (ends[0], ends[1]), (ends[2], ends[3]), allowed,
-        max_inner=6, seed=seed,
+        lengths=range(1, 7), seed=seed,
     )
     if p is not None:
         assert verify_tight_path(H, p.vertices)
@@ -488,7 +487,7 @@ def _old_closing(mi, avail, uncovered, spare, has_gadget):
 
 def test_length_orders_keep_connect_orders(monkeypatch):
     # each stage's inner-length order is its reference copy's above, as
-    # connect sees it: filtered to 0..max_inner, in order
+    # connect sees it: filtered to 0..MAX_INNER, in order
     def seen(order, mi):
         return None if order is None else [l for l in order if 0 <= l <= mi]
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from oracles import (
 import tightcycles
 from tightcycles import constructions as cons
 from tightcycles.hypercore import (
+    Hypergraph3,
     TightPath,
     codegree,
     degree,
@@ -417,6 +419,19 @@ def test_pair_index_matches_former_builder(H):
 )
 def test_pair_index_matches_former_builder_at_scale(make):
     _assert_pair_index_matches_reference(make())
+
+
+def test_host_build_memory_is_bounded():
+    # the boolean scatter takes n^3 bytes (3.4 MB at n = 150); the former
+    # weighted bincount peaked at 57 MB on this host
+    triples = cons.random(150, 0.85, 2).triples
+    tracemalloc.start()
+    try:
+        Hypergraph3(150, triples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_index_fields_stay_private_to_hypercore():

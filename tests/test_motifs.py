@@ -172,8 +172,8 @@ def test_k4minus_cap():
 
 
 def test_searches_that_run_nothing_are_refused():
-    # with no sample, try or node to spend, "not found" would read as
-    # "searched but absent"
+    # with no sample, try or node to spend, or no class to grow, "not found"
+    # would read as "searched but absent"
     H = cons.complete(12)
     calls = {
         "samples": [
@@ -185,6 +185,7 @@ def test_searches_that_run_nothing_are_refused():
             lambda v: mt.find_c8(H, budget=v),
             lambda v: mt.find_c8_blowup(H, budget=v, t=1),
         ],
+        "class size t": [lambda v: mt.find_c8_blowup(H, budget=1, t=v)],
     }
     for name, fns in calls.items():
         for fn in fns:
@@ -275,7 +276,7 @@ def turnable_table(H, q, q_prime):
     """For each of the four orientation combinations of two pairs, the tight
     path ``connect`` finds between them with 1..3 inner vertices, or None."""
     return {
-        (s, e): ham.connect(H, s, e, range(H.n), max_inner=3, budget=20000)
+        (s, e): ham.connect(H, s, e, range(H.n), lengths=range(1, 4), budget=20000)
         for s in (q, q[::-1])
         for e in (q_prime, q_prime[::-1])
     }

@@ -121,7 +121,7 @@ def test_count_paths_matches_connect_on_dense():
     H = cons.random(12, 0.8, 3)
     cnt = orc.count_paths_between(H, (0, 1), (2, 3), 5)
     assert cnt > 0
-    path = connect(H, (0, 1), (2, 3), range(12), max_inner=5, lengths=[5], seed=1)
+    path = connect(H, (0, 1), (2, 3), range(12), lengths=[5], seed=1)
     assert path is not None and len(path) == 9
 
 
