@@ -422,8 +422,8 @@ def test_pair_index_matches_former_builder_at_scale(make):
 
 
 def test_host_build_memory_is_bounded():
-    # the boolean scatter takes n^3 bytes (3.4 MB at n = 150); the former
-    # weighted bincount peaked at 57 MB on this host
+    # the build's boolean scatter holds n^3 bytes (3.4 MB at n = 150), and
+    # its whole traced peak on this host is about 12 MB
     triples = cons.random(150, 0.85, 2).triples
     tracemalloc.start()
     try:

@@ -15,9 +15,9 @@ Runs, on the library in this checkout's ``src``:
 It prints one line per group and a total line, each with a result count and
 a sha256 over the pickled results in order.  The density and exact groups'
 results hold their hosts, and a host pickles together with its pair index, so
-those groups pin the index as well as the search results.  Two checkouts whose results are
-identical print the same lines; a change that claims unchanged outputs
-should print its parent's hashes.
+those groups pin the index as well as the search results.  Two checkouts
+whose results are identical print the same lines; a change that claims
+unchanged outputs should print its parent's hashes.
 """
 
 import os
